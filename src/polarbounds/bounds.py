@@ -214,7 +214,7 @@ def _separation_uppers(C: np.ndarray, D: np.ndarray, sep: np.ndarray) -> np.ndar
     positive separations ``sep[i]``."""
     fc = matrixcore._frobenius_norms(C)
     fd = matrixcore._frobenius_norms(D)
-    return np.sqrt(fc * fc + fd * fd) / sep
+    return np.hypot(fc, fd) / sep
 
 
 def norm_sum_bound(C, D) -> float:
@@ -223,9 +223,7 @@ def norm_sum_bound(C, D) -> float:
     Valid because the solution is a pointwise convex-like mix of `C` and
     `D` in the joint eigenbasis; it needs no spectral information at all.
     """
-    fc = matrixcore.frobenius_norm(C)
-    fd = matrixcore.frobenius_norm(D)
-    return math.sqrt(fc * fc + fd * fd)
+    return math.hypot(matrixcore.frobenius_norm(C), matrixcore.frobenius_norm(D))
 
 
 def midpoint_bounds(C, D) -> BoundPair:

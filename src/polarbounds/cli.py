@@ -217,21 +217,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     _print_matrix("X =", solution.X)
     print(f"scaled residual {solution.residual:.3e}")
     print(f"||X||_F = {matrixcore.frobenius_norm(solution.X):.10g}")
+    wa, wb = problem.eigenvalues_a, problem.eigenvalues_b
     try:
-        sep = bounds.spectral_separation(problem.eigenvalues_a, -problem.eigenvalues_b)
+        sep = bounds.spectral_separation(wa, -wb)
         print(f"separation upper bound  {bounds.separation_bound(C, D, sep):.10g}")
     except SpectralOverlapError:
         print("separation upper bound  undefined (spectra of A and -B overlap)")
     print(f"norm-sum upper bound    {bounds.norm_sum_bound(C, D):.10g}")
     midpoint = bounds.midpoint_bounds(C, D)
     print(f"midpoint enclosure      [{midpoint.lower:.10g}, {midpoint.upper:.10g}]")
-    weighted = bounds.weighted_bounds(
-        C, D, bounds.weighted_bound_params(problem.A, problem.B)
-    )
+    weighted = bounds.weighted_bounds(C, D, bounds.weighted_params_from_spectra(wa, wb))
     print(f"weighted enclosure      [{weighted.lower:.10g}, {weighted.upper:.10g}]")
-    symmetric = bounds.symmetric_bounds(
-        C, D, bounds.symmetric_bound_params(problem.A, problem.B)
-    )
+    symmetric = bounds.symmetric_bounds(C, D, bounds.symmetric_params_from_spectra(wa, wb))
     print(f"symmetric enclosure     [{symmetric.lower:.10g}, {symmetric.upper:.10g}]")
     return 0
 

@@ -2,24 +2,21 @@
 
 Every random quantity derives from counter-based substreams of a single
 seed, ``SeedSequence((seed, trial_index))``, so results are identical
-across runs, chunk sizes, and worker counts.
+across runs and chunk sizes.
 
 The Monte Carlo driver evaluates one chunk of ``_CHUNK`` trials at a time
 as a batch: each trial still draws from its own substream, then one
 stacked ``eigvalsh``, vectorised separations and bound parameters, and one
 BLAS ``nrm2`` call per matrix give every trial the same floating-point
-values as evaluating it alone.  Chunks are spread over a thread pool whose
-size ``POLAR_PERTURB_THREADS`` caps.  Per trial the work is small and the
-substream set-up holds the GIL, so on 3 x 3 trials a second worker does
-not make a run faster.  All other drivers are single-threaded.
+values as evaluating it alone.  Chunks run one after another: on 3 x 3
+trials most of the time is substream set-up, which holds the GIL, so a
+thread pool gave no speed-up.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,7 +27,6 @@ from .exceptions import DomainError, NumericalError
 
 __all__ = [
     "DEFAULT_SEED",
-    "THREADS_ENV_VAR",
     "ComparisonTest",
     "SampleDistribution",
     "ExperimentConfig",
@@ -43,7 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20250814
-THREADS_ENV_VAR = "POLAR_PERTURB_THREADS"
 
 _MAX_REDRAWS = 100
 _CHUNK = 4096
@@ -298,47 +293,27 @@ def _tally_range(
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    cpus = os.cpu_count() or 1
-    if raw is None:
-        return cpus
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DomainError(
-            f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}"
-        ) from exc
-    if cap < 1:
-        raise DomainError(f"{THREADS_ENV_VAR} must be a positive integer, got {cap}")
-    return min(cap, cpus)
-
-
 def run_montecarlo(config: ExperimentConfig) -> TrialTally:
     """Tally the three bound comparisons over independent seeded trials.
 
     Trials are independent substreams of the seed, so the tally does not
-    depend on chunking or on the worker count.  Writes a one-row CSV when
-    `config.out_path` is set.
+    depend on chunking.  Writes a one-row CSV when `config.out_path` is set.
     """
     if config.trials <= 0:
         raise DomainError(f"trials must be positive, got {config.trials}")
     if config.size <= 0:
         raise DomainError(f"size must be positive, got {config.size}")
-    spans = [
-        (start, min(start + _CHUNK, config.trials))
+    parts = [
+        _tally_range(
+            config.seed,
+            start,
+            min(start + _CHUNK, config.trials),
+            config.test,
+            config.size,
+            config.dist,
+        )
         for start in range(0, config.trials, _CHUNK)
     ]
-    workers = min(_worker_count(), len(spans))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(
-                lambda span: _tally_range(
-                    config.seed, span[0], span[1], config.test, config.size, config.dist
-                ),
-                spans,
-            )
-        )
     alpha = sum(p[0] for p in parts)
     beta = sum(p[1] for p in parts)
     gamma = sum(p[2] for p in parts)
@@ -387,12 +362,8 @@ def _sweep_trial(seed: int, si: int, size: int, ei: int, epsilon: float, trial: 
     scenario = perturb.make_scenario(A, D1, D2)
     at_identity_sub = perturb.subunitary_bound(scenario)
     at_identity_psd = perturb.psd_factor_bound(scenario)
-    searched_sub = perturb.subunitary_bound(
-        scenario, perturb.SearchStrategy.GRID_THEN_LOCAL_SEARCH
-    )
-    searched_psd = perturb.psd_factor_bound(
-        scenario, perturb.SearchStrategy.GRID_THEN_LOCAL_SEARCH
-    )
+    optimal_sub = perturb.subunitary_bound(scenario, perturb.SearchStrategy.OPTIMAL)
+    optimal_psd = perturb.psd_factor_bound(scenario, perturb.SearchStrategy.OPTIMAL)
     row = SweepRow(
         size=size,
         rank=rank,
@@ -402,8 +373,8 @@ def _sweep_trial(seed: int, si: int, size: int, ei: int, epsilon: float, trial: 
         actual_h=at_identity_psd.psd_diff,
         subunitary_at_identity=at_identity_sub.subunitary_bound,
         psd_at_identity=at_identity_psd.psd_bound,
-        subunitary_optimized=searched_sub.subunitary_bound,
-        psd_optimized=searched_psd.psd_bound,
+        subunitary_optimized=optimal_sub.subunitary_bound,
+        psd_optimized=optimal_psd.psd_bound,
         chen_li_sun=perturb.chen_li_sun_bound(D1, D2),
         hong_meng_zheng=perturb.hong_meng_zheng_bound(scenario),
     )
@@ -412,7 +383,7 @@ def _sweep_trial(seed: int, si: int, size: int, ei: int, epsilon: float, trial: 
 
 
 def _check_sweep_row(row: SweepRow) -> None:
-    """Row-wise validity: actual changes below bounds, searched bounds
+    """Row-wise validity: actual changes below bounds, optimized bounds
     below the bounds at (1, 1), and (1, 1) below the classical bounds."""
     checks = [
         ("actual_U <= phi_bound_11", row.actual_u, row.subunitary_at_identity),
@@ -442,7 +413,7 @@ def run_perturb_sweep(
 
     For each size, epsilon, and trial index, draws a complex matrix of
     random rank and perturbers ``I + epsilon E`` with Gaussian `E`, then
-    evaluates both factor bounds at (1, 1) and after the probe search
+    evaluates both factor bounds at (1, 1) and at the optimal probe
     next to the two classical bounds.  Every row is checked for the
     validity orderings before it is recorded.
     """

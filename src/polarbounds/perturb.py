@@ -6,8 +6,9 @@ of `A`.  For any pair of complex probe parameters ``(s, t)`` three
 computable terms bound the subunitary factor change ``||V - U||_F`` and
 three more bound the PSD factor change ``|| |B| - |A| ||_F``, in both
 cases through ``sqrt(term1^2 + term2^2 - term3^2)``.  The probe ``(1, 1)``
-already dominates the classical bounds; searching over probes can only
-tighten the result.
+already dominates the classical bounds.  The radicand is a real quadratic
+in the real and imaginary parts of ``s`` and ``t``, so the best probe has a
+closed form, and it can only tighten the result.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import matrixcore
 from .exceptions import DomainError, NumericalError
-from .polar import PolarFactors, generalized_polar
+from .polar import PolarFactors, _polar_from_svd
 
 __all__ = [
     "SearchStrategy",
@@ -38,15 +38,18 @@ __all__ = [
 ]
 
 _COND_WARN = 1e12
-_GRID_POINTS = 5
-_LOCAL_SEARCH_EVALS = 200
+# The probe (1, 1) and its four unit steps along (Re s, Im s, Re t, Im t).
+_PROBES = ((1 + 0j, 1 + 0j), (2 + 0j, 1 + 0j), (1 + 1j, 1 + 0j), (1 + 0j, 2 + 0j),
+           (1 + 0j, 1 + 1j))
 
 
 class SearchStrategy(Enum):
     """How to pick the probe pair ``(s, t)`` for a bound evaluation."""
 
     AT_ONE_ONE = "at-one-one"
-    GRID_THEN_LOCAL_SEARCH = "grid-then-local-search"
+    OPTIMAL = "optimal"
+    # Alias of OPTIMAL (same value), kept so callers that name it still run.
+    GRID_THEN_LOCAL_SEARCH = "optimal"
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,13 +105,9 @@ class PolarPerturbReport:
     psd_clamped: bool
 
 
-def _inverse_norms(M: np.ndarray) -> tuple[float, float]:
-    """Spectral norms of `M` and of its pseudoinverse."""
-    s = np.linalg.svd(M, compute_uv=False)
-    largest = float(s[0]) if s.size else 0.0
-    cutoff = matrixcore.rank_cutoff(M.shape, largest)
-    kept = s[s > cutoff]
-    return largest, (1.0 / float(kept.min()) if kept.size else 0.0)
+def _pinv_norm(f: matrixcore.SvdFactors) -> float:
+    """Spectral norm of the pseudoinverse, under the SVD's rank decision."""
+    return 1.0 / float(f.sigma[f.rank - 1]) if f.rank else 0.0
 
 
 def _checked_inverse(D: np.ndarray, name: str) -> np.ndarray:
@@ -159,11 +158,10 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
     d1_inv = _checked_inverse(D1, "D1")
     d2_inv = _checked_inverse(D2, "D2")
     B = (D1.conj().T @ A) @ D2
-    polar_a = generalized_polar(A)
-    polar_b = generalized_polar(B)
-    norm_a, norm_pinv_a = _inverse_norms(A)
-    norm_b, norm_pinv_b = _inverse_norms(B)
-    lam = max(norm_pinv_a * norm_b, norm_a * norm_pinv_b, 1.0)
+    svd_a, svd_b = matrixcore.svd(A), matrixcore.svd(B)
+    polar_a, polar_b = _polar_from_svd(svd_a), _polar_from_svd(svd_b)
+    norm_a, norm_b = float(svd_a.sigma[0]), float(svd_b.sigma[0])
+    lam = max(_pinv_norm(svd_a) * norm_b, norm_a * _pinv_norm(svd_b), 1.0)
     U, V = polar_a.U, polar_b.U
     return PerturbationScenario(
         A=A,
@@ -185,15 +183,8 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
     )
 
 
-def subunitary_terms(
-    scenario: PerturbationScenario, s: complex, t: complex
-) -> tuple[float, float, float]:
-    """The three terms bounding ``||V - U||_F`` at probe ``(s, t)``.
-
-    All three vanish at ``(1, 1)`` when ``D1 == D2 == I``.
-    """
-    s, t = complex(s), complex(t)
-    sc = scenario
+def _subunitary_matrices(sc: PerturbationScenario, s: complex, t: complex):
+    """The three matrices whose Frobenius norms bound ``||V - U||_F``."""
     U, V = sc.polar_a.U, sc.polar_b.U
     Im, In = sc.eye_left, sc.eye_right
     D1a, D2a = sc.D1.conj().T, sc.D2.conj().T
@@ -205,19 +196,11 @@ def subunitary_terms(
         V @ (np.conj(s) * D2a - t * sc.d2_inv) @ sc.proj_corange_a
         + sc.proj_range_b @ (np.conj(s) * sc.d1_inv - t * D1a) @ U
     )
-    return (
-        matrixcore.frobenius_norm(t1),
-        matrixcore.frobenius_norm(t2),
-        matrixcore.frobenius_norm(t3) / math.sqrt(sc.lam + 1.0),
-    )
+    return t1, t2, t3
 
 
-def psd_terms(
-    scenario: PerturbationScenario, s: complex, t: complex
-) -> tuple[float, float, float]:
-    """The three terms bounding ``|| |B| - |A| ||_F`` at probe ``(s, t)``."""
-    s, t = complex(s), complex(t)
-    sc = scenario
+def _psd_matrices(sc: PerturbationScenario, s: complex, t: complex):
+    """The three matrices whose Frobenius norms bound ``|| |B| - |A| ||_F``."""
     V = sc.polar_b.U
     In = sc.eye_right
     D1a, D2a = sc.D1.conj().T, sc.D2.conj().T
@@ -230,11 +213,33 @@ def psd_terms(
         + left_mix
         - sc.proj_corange_b @ (np.conj(s) * D2a - In) @ abs_a
     )
+    return t1, t2, t3
+
+
+def _terms(sc: PerturbationScenario, matrices, s, t) -> tuple[float, float, float]:
+    t1, t2, t3 = matrices(sc, complex(s), complex(t))
     return (
         matrixcore.frobenius_norm(t1),
         matrixcore.frobenius_norm(t2),
         matrixcore.frobenius_norm(t3) / math.sqrt(sc.lam + 1.0),
     )
+
+
+def subunitary_terms(
+    scenario: PerturbationScenario, s: complex, t: complex
+) -> tuple[float, float, float]:
+    """The three terms bounding ``||V - U||_F`` at probe ``(s, t)``.
+
+    All three vanish at ``(1, 1)`` when ``D1 == D2 == I``.
+    """
+    return _terms(scenario, _subunitary_matrices, s, t)
+
+
+def psd_terms(
+    scenario: PerturbationScenario, s: complex, t: complex
+) -> tuple[float, float, float]:
+    """The three terms bounding ``|| |B| - |A| ||_F`` at probe ``(s, t)``."""
+    return _terms(scenario, _psd_matrices, s, t)
 
 
 def _combine(terms: tuple[float, float, float]) -> tuple[float, bool]:
@@ -264,76 +269,84 @@ def _report_at(scenario: PerturbationScenario, s: complex, t: complex) -> PolarP
     )
 
 
-def _grid_then_local(scenario, objective) -> tuple[complex, complex]:
-    """Minimize over a probe grid around (1, 1), then refine locally.
+def _radicand_form(sc: PerturbationScenario, matrices) -> np.ndarray:
+    """Real 5 x 5 `Q` with ``t1^2 + t2^2 - t3^2 = [1; x]^T Q [1; x]``.
 
-    The grid covers real parts in [0, 2] and imaginary parts in [-1, 1]
-    and contains (1, 1), so the result never exceeds the value there.
-    The refinement is a bounded-budget simplex descent; the best point
-    ever evaluated wins, so the search is deterministic and monotone.
+    Here ``x = (Re s - 1, Im s, Re t - 1, Im t)`` is the step from the probe
+    (1, 1), and the terms are those of `matrices`, `t3` scaled by
+    ``1 / sqrt(lam + 1)``.  Each term matrix is affine in `s`, `conj(s)`,
+    `t` and `conj(t)`, hence real-affine in `x`:
+    ``T(x) = T(0) + sum_k x_k (T(e_k) - T(0))``.  Its squared norm is
+    therefore exactly the quadratic form of ``Re(G* G)``, where the columns
+    of `G` are those five coefficient matrices, flattened.  `Q` is
+    symmetric up to round-off.
     """
-    reals = np.linspace(0.0, 2.0, _GRID_POINTS)
-    imags = np.linspace(-1.0, 1.0, _GRID_POINTS)
-    best_val = math.inf
-    best = (1 + 0j, 1 + 0j)
-    for sr in reals:
-        for si in imags:
-            s = complex(sr, si)
-            for tr in reals:
-                for ti in imags:
-                    t = complex(tr, ti)
-                    val = objective(scenario, s, t)
-                    if val < best_val:
-                        best_val, best = val, (s, t)
-
-    def fun(x):
-        return objective(scenario, complex(x[0], x[1]), complex(x[2], x[3]))
-
-    x0 = [best[0].real, best[0].imag, best[1].real, best[1].imag]
-    out = minimize(
-        fun,
-        x0,
-        method="Nelder-Mead",
-        options={"maxfev": _LOCAL_SEARCH_EVALS, "xatol": 1e-5, "fatol": 1e-12},
-    )
-    if out.fun < best_val:
-        best = (complex(out.x[0], out.x[1]), complex(out.x[2], out.x[3]))
-    return best
+    at = [matrices(sc, s, t) for s, t in _PROBES]
+    Q = np.zeros((5, 5))
+    for j, weight in enumerate((1.0, 1.0, -1.0 / (sc.lam + 1.0))):
+        base = at[0][j].ravel()
+        G = np.stack([base] + [probe[j].ravel() - base for probe in at[1:]], axis=1)
+        Q += weight * (G.conj().T @ G).real
+    return Q
 
 
-def _subunitary_objective(scenario, s, t) -> float:
-    return _combine(subunitary_terms(scenario, s, t))[0]
+def _optimal_probe(sc: PerturbationScenario, matrices) -> tuple[complex, complex]:
+    """The probe minimizing the radicand of `matrices` over all ``(s, t)``.
+
+    Every probe gives a valid bound, so the radicand is bounded below and
+    its Hessian is positive semidefinite up to round-off.  The step `x`
+    from (1, 1) solves ``H x = -g`` in the pseudo-inverse sense: Hessian
+    eigenvalues at or below the rank cutoff, round-off negatives included,
+    count as zero.  Along flat directions this keeps the probe at (1, 1),
+    where the terms are small and their direct evaluation loses least to
+    cancellation; the PSD terms, for one, do not depend on `t` at all in
+    exact arithmetic.
+    """
+    Q = _radicand_form(sc, matrices)
+    H, g = Q[1:, 1:], Q[1:, 0]
+    w, vecs = np.linalg.eigh(H)
+    kept = w > matrixcore.rank_cutoff(H.shape, max(float(w[-1]), 0.0))
+    basis = vecs[:, kept]
+    x = -basis @ ((basis.T @ g) / w[kept])
+    return 1 + complex(x[0], x[1]), 1 + complex(x[2], x[3])
 
 
-def _psd_objective(scenario, s, t) -> float:
-    return _combine(psd_terms(scenario, s, t))[0]
+def _bound_value(sc: PerturbationScenario, matrices, s: complex, t: complex) -> float:
+    return _combine(_terms(sc, matrices, s, t))[0]
+
+
+def _bound(
+    scenario: PerturbationScenario, strategy: SearchStrategy, matrices
+) -> PolarPerturbReport:
+    """Report at (1, 1), or at the optimal probe of `matrices` when its
+    bound is strictly below the one at (1, 1)."""
+    s, t = 1 + 0j, 1 + 0j
+    if strategy is SearchStrategy.OPTIMAL:
+        probe = _optimal_probe(scenario, matrices)
+        if _bound_value(scenario, matrices, *probe) < _bound_value(scenario, matrices, s, t):
+            s, t = probe
+    return _report_at(scenario, s, t)
 
 
 def subunitary_bound(
     scenario: PerturbationScenario,
     strategy: SearchStrategy = SearchStrategy.AT_ONE_ONE,
 ) -> PolarPerturbReport:
-    """Bound ``||V - U||_F`` at (1, 1) or at the best probe found.
+    """Bound ``||V - U||_F`` at (1, 1) or at the optimal probe.
 
     Returns the full report at the chosen probe; every probe yields a
-    valid bound, so the searched result is valid and never worse than
+    valid bound, so the optimized result is valid and never worse than
     the bound at (1, 1).
     """
-    if strategy is SearchStrategy.AT_ONE_ONE:
-        return _report_at(scenario, 1 + 0j, 1 + 0j)
-    s, t = _grid_then_local(scenario, _subunitary_objective)
-    return _report_at(scenario, s, t)
+    return _bound(scenario, strategy, _subunitary_matrices)
 
 
 def psd_factor_bound(
     scenario: PerturbationScenario,
     strategy: SearchStrategy = SearchStrategy.AT_ONE_ONE,
 ) -> PolarPerturbReport:
-    """Bound ``|| |B| - |A| ||_F`` at (1, 1) or at the best probe found."""
-    if strategy is SearchStrategy.AT_ONE_ONE:
-        return _report_at(scenario, 1 + 0j, 1 + 0j)
-    s, t = _grid_then_local(scenario, _psd_objective)
-    return _report_at(scenario, s, t)
+    """Bound ``|| |B| - |A| ||_F`` at (1, 1) or at the optimal probe."""
+    return _bound(scenario, strategy, _psd_matrices)
 
 
 def chen_li_sun_bound(D1, D2) -> float:

@@ -79,7 +79,11 @@ def generalized_polar(A, tol: float = 0.0) -> PolarFactors:
     `U` is the unique partial isometry with range equal to the range of
     `A` and corange equal to the range of ``A*``.
     """
-    f = matrixcore.svd(A, tol)
+    return _polar_from_svd(matrixcore.svd(A, tol))
+
+
+def _polar_from_svd(f: matrixcore.SvdFactors) -> PolarFactors:
+    """Polar factors from a full SVD and its rank decision."""
     r = f.rank
     U = f.P[:, :r] @ f.Q[:, :r].conj().T
     kept = np.zeros(f.Q.shape[0], dtype=np.float64)

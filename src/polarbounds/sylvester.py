@@ -208,7 +208,7 @@ def solve_structured(problem: StructuredProblem, tol: float = 1e-8) -> Sylvester
     residual = matrixcore.frobenius_norm(
         problem.A @ X + X @ problem.B - S
     ) / (1.0 + matrixcore.frobenius_norm(S))
-    if residual > tol:
+    if not (residual <= tol):
         raise InconsistentSystemError(
             f"no range-conforming solution within tolerance: "
             f"scaled residual {residual:.3e} exceeds {tol:g}"
@@ -271,7 +271,7 @@ def solve_general_hermitian(
     residual = matrixcore.frobenius_norm(Omega @ X - X @ Gamma - S) / (
         1.0 + matrixcore.frobenius_norm(S)
     )
-    if residual > tol:
+    if not (residual <= tol):
         raise NumericalError(
             f"solution lost precision: scaled residual {residual:.3e} "
             f"exceeds {tol:g}; the spectra are likely too close"

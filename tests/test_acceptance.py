@@ -217,8 +217,8 @@ def test_acceptance_6_perturbation_validity():
         scenario = make_scenario(A, D1, D2)
         sub11 = subunitary_bound(scenario)
         psd11 = psd_factor_bound(scenario)
-        sub_opt = subunitary_bound(scenario, SearchStrategy.GRID_THEN_LOCAL_SEARCH)
-        psd_opt = psd_factor_bound(scenario, SearchStrategy.GRID_THEN_LOCAL_SEARCH)
+        sub_opt = subunitary_bound(scenario, SearchStrategy.OPTIMAL)
+        psd_opt = psd_factor_bound(scenario, SearchStrategy.OPTIMAL)
         good = (
             sub11.subunitary_diff <= sub11.subunitary_bound + 1e-9
             and sub11.subunitary_bound <= chen_li_sun_bound(D1, D2) + 1e-9

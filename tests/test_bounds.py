@@ -153,6 +153,15 @@ class TestCrudeBounds:
         assert norm_sum_bound(C, np.zeros((2, 2))) == pytest.approx(5.0)
         assert norm_sum_bound(np.eye(2), np.eye(2)) == pytest.approx(2.0)
 
+    def test_no_overflow_at_extreme_scale(self):
+        # ||C||_F = ||D||_F = 2e200, so the squares overflow but the bound
+        # sqrt(8) * 1e200 does not.
+        C = 1e200 * np.ones((2, 2))
+        expected = math.sqrt(8.0) * 1e200
+        assert norm_sum_bound(C, C) == pytest.approx(expected, rel=1e-15)
+        sep = SpectralSeparation(0.5)
+        assert separation_bound(C, C, sep) == pytest.approx(2.0 * expected, rel=1e-15)
+
 
 class TestMidpointBounds:
     def test_equal_data_collapses(self):

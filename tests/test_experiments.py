@@ -164,7 +164,6 @@ class TestRunMontecarlo:
         # The kernel decides overlap for a whole batch of trials per call,
         # so forcing overlap on every odd call forces it on every trial's
         # first attempt.
-        monkeypatch.setenv(experiments.THREADS_ENV_VAR, "1")
         orig = bounds_mod._spectral_separations
         calls = {"n": 0}
 
@@ -180,7 +179,6 @@ class TestRunMontecarlo:
         assert tally.redraws == 25
 
     def test_redraw_exhaustion_raises(self, monkeypatch):
-        monkeypatch.setenv(experiments.THREADS_ENV_VAR, "1")
         monkeypatch.setattr(experiments, "_MAX_REDRAWS", 3)
         orig = bounds_mod._spectral_separations
 
@@ -191,16 +189,6 @@ class TestRunMontecarlo:
         monkeypatch.setattr(bounds_mod, "_spectral_separations", always_overlapping)
         with pytest.raises(NumericalError):
             run_montecarlo(ExperimentConfig(trials=2))
-
-    @pytest.mark.parametrize("bad", ["zero", "-3", "0"])
-    def test_invalid_thread_env_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv(experiments.THREADS_ENV_VAR, bad)
-        with pytest.raises(DomainError):
-            run_montecarlo(ExperimentConfig(trials=10))
-
-    def test_thread_env_accepted(self, monkeypatch):
-        monkeypatch.setenv(experiments.THREADS_ENV_VAR, "2")
-        assert run_montecarlo(ExperimentConfig(trials=10)).trials == 10
 
     @pytest.mark.parametrize(
         "kwargs", [{"trials": 0}, {"trials": -5}, {"size": 0}]

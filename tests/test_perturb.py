@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from polarbounds import matrixcore
+from polarbounds import perturb as perturb_mod
 from polarbounds.exceptions import DomainError
 from polarbounds.perturb import (
     SearchStrategy,
@@ -19,10 +20,10 @@ from polarbounds.perturb import (
 from conftest import complex_gaussian, rank_r_matrix
 
 
-def random_scenario(rng, m, n, rank=None, eps=0.1):
+def random_scenario(rng, m, n, rank=None, eps=0.1, complex_entries=True):
     if rank is None:
         rank = int(rng.integers(1, min(m, n) + 1))
-    A = rank_r_matrix(rng, m, n, rank)
+    A = rank_r_matrix(rng, m, n, rank, complex_entries)
     D1 = np.eye(m) + eps * complex_gaussian(rng, (m, m))
     D2 = np.eye(n) + eps * complex_gaussian(rng, (n, n))
     return make_scenario(A, D1, D2)
@@ -152,18 +153,18 @@ class TestBoundValidity:
         for _ in range(5):
             sc = random_scenario(rng, 3, 3)
             fixed = subunitary_bound(sc, SearchStrategy.AT_ONE_ONE)
-            searched = subunitary_bound(sc, SearchStrategy.GRID_THEN_LOCAL_SEARCH)
+            searched = subunitary_bound(sc, SearchStrategy.OPTIMAL)
             assert searched.subunitary_bound <= fixed.subunitary_bound
             assert searched.subunitary_diff == fixed.subunitary_diff
             fixed = psd_factor_bound(sc, SearchStrategy.AT_ONE_ONE)
-            searched = psd_factor_bound(sc, SearchStrategy.GRID_THEN_LOCAL_SEARCH)
+            searched = psd_factor_bound(sc, SearchStrategy.OPTIMAL)
             assert searched.psd_bound <= fixed.psd_bound
 
     def test_searched_probe_still_valid(self):
         rng = np.random.default_rng(511)
         for _ in range(5):
             sc = random_scenario(rng, 3, 2)
-            searched = subunitary_bound(sc, SearchStrategy.GRID_THEN_LOCAL_SEARCH)
+            searched = subunitary_bound(sc, SearchStrategy.OPTIMAL)
             assert searched.subunitary_diff <= searched.subunitary_bound + 1e-9
 
     def test_report_records_probe(self):
@@ -173,3 +174,83 @@ class TestBoundValidity:
         assert report.s == 1 + 0j and report.t == 1 + 0j
         assert isinstance(report.subunitary_clamped, bool)
         assert isinstance(report.psd_clamped, bool)
+
+
+# (terms, term matrices, bound, report field) for each of the two bounds.
+BOUND_KINDS = {
+    "subunitary": (
+        subunitary_terms, perturb_mod._subunitary_matrices, subunitary_bound, "subunitary_bound"
+    ),
+    "psd": (psd_terms, perturb_mod._psd_matrices, psd_factor_bound, "psd_bound"),
+}
+
+
+def bound_at(terms, sc, s, t):
+    t1, t2, t3 = terms(sc, s, t)
+    return math.sqrt(max(t1 * t1 + t2 * t2 - t3 * t3, 0.0))
+
+
+@pytest.mark.parametrize("kind", sorted(BOUND_KINDS))
+class TestOptimalProbe:
+    def scenarios(self):
+        rng = np.random.default_rng(513)
+        return [
+            random_scenario(rng, 3, 3),
+            random_scenario(rng, 4, 2, rank=1, eps=0.01),
+            # Real, rectangular and rank-deficient A.
+            random_scenario(rng, 5, 3, rank=2, complex_entries=False),
+        ]
+
+    def test_quadratic_form_matches_terms(self, kind):
+        terms, matrices, _, _ = BOUND_KINDS[kind]
+        rng = np.random.default_rng(514)
+        for sc in self.scenarios():
+            Q = perturb_mod._radicand_form(sc, matrices)
+            for x in 2.0 * rng.standard_normal((20, 4)):
+                # x is the step from the probe (1, 1).
+                t1, t2, t3 = terms(sc, 1 + complex(x[0], x[1]), 1 + complex(x[2], x[3]))
+                v = np.concatenate(([1.0], x))
+                direct = t1 * t1 + t2 * t2 - t3 * t3
+                scale = t1 * t1 + t2 * t2 + t3 * t3
+                assert abs(v @ Q @ v - direct) <= 1e-12 * scale
+
+    def test_not_above_old_probe_grid(self, kind):
+        terms, _, bound, field = BOUND_KINDS[kind]
+        reals = np.linspace(0.0, 2.0, 5)
+        imags = np.linspace(-1.0, 1.0, 5)
+        grid = [complex(re, im) for re in reals for im in imags]
+        for sc in self.scenarios():
+            best = getattr(bound(sc, SearchStrategy.OPTIMAL), field)
+            lowest = min(bound_at(terms, sc, s, t) for s in grid for t in grid)
+            assert best <= lowest * (1.0 + 1e-12)
+
+    def test_local_moves_do_not_improve(self, kind):
+        terms, _, bound, field = BOUND_KINDS[kind]
+        rng = np.random.default_rng(515)
+        for sc in self.scenarios():
+            report = bound(sc, SearchStrategy.OPTIMAL)
+            best = getattr(report, field)
+            assert best == bound_at(terms, sc, report.s, report.t)
+            for step in 1e-3 * rng.standard_normal((20, 4)):
+                s = report.s + complex(step[0], step[1])
+                t = report.t + complex(step[2], step[3])
+                assert best <= bound_at(terms, sc, s, t) * (1.0 + 1e-12)
+
+    def test_identity_perturbers_give_zero(self, kind):
+        _, _, bound, field = BOUND_KINDS[kind]
+        rng = np.random.default_rng(516)
+        sc = make_scenario(complex_gaussian(rng, (3, 2)), np.eye(3), np.eye(2))
+        assert getattr(bound(sc, SearchStrategy.OPTIMAL), field) == 0.0
+
+
+def test_psd_probe_keeps_t_at_one():
+    # The PSD terms do not depend on t, so the optimal probe leaves t at 1,
+    # where the terms cancel the least in floating point.
+    rng = np.random.default_rng(517)
+    for m, n in [(3, 3), (6, 2), (2, 5)]:
+        report = psd_factor_bound(random_scenario(rng, m, n), SearchStrategy.OPTIMAL)
+        assert abs(report.t - 1) < 1e-12
+
+
+def test_grid_search_name_is_optimal_alias():
+    assert SearchStrategy.GRID_THEN_LOCAL_SEARCH is SearchStrategy.OPTIMAL

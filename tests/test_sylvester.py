@@ -7,6 +7,7 @@ from polarbounds.exceptions import (
     DomainError,
     HypothesisError,
     InconsistentSystemError,
+    NumericalError,
     SpectralOverlapError,
 )
 from polarbounds.sylvester import (
@@ -133,6 +134,15 @@ class TestSolveStructured:
         with pytest.raises(InconsistentSystemError):
             solve_structured(p)
 
+    def test_nan_residual_rejected(self):
+        # A C overflows, so X and the residual are NaN; NaN must fail the
+        # residual gate rather than slip through a `residual > tol` test.
+        p = structured_problem(
+            1e200 * np.eye(2), np.eye(2), 1e160 * np.ones((2, 2)), np.zeros((2, 2))
+        )
+        with np.errstate(all="ignore"), pytest.raises(InconsistentSystemError):
+            solve_structured(p)
+
 
 class TestSolveGeneralHermitian:
     def test_scalar(self):
@@ -157,6 +167,12 @@ class TestSolveGeneralHermitian:
         S = complex_gaussian(rng, (2, 2))
         X = solve_general_hermitian(Omega, Gamma, S)
         assert matrixcore.frobenius_norm(Omega @ X - X @ Gamma - S) < 1e-12
+
+    def test_nan_residual_rejected(self):
+        # S / (omega - gamma) overflows, so the residual is NaN.
+        w = np.diag([1e-300, 2e-300])
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            solve_general_hermitian(w, -w, 1e300 * np.ones((2, 2)))
 
     def test_overlapping_spectra_rejected(self):
         with pytest.raises(SpectralOverlapError):
