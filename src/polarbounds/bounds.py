@@ -132,9 +132,15 @@ def _real_spectra(values, name: str) -> np.ndarray:
     return w
 
 
-def _one(M, name: str) -> np.ndarray:
-    """Matrix `M` as a stack of one, for the one-row case of a stacked form."""
-    return matrixcore.as_matrix(M, name)[None]
+def _pair(C, D) -> tuple[np.ndarray, np.ndarray]:
+    """Data matrices `C` and `D` as stacks of one, for the one-row case of a
+    stacked form; :class:`DomainError` unless both are finite matrices of
+    one shape."""
+    C = matrixcore.as_matrix(C, "C")
+    D = matrixcore.as_matrix(D, "D")
+    if C.shape != D.shape:
+        raise DomainError(f"C and D must have the same shape, got {C.shape} and {D.shape}")
+    return C[None], D[None]
 
 
 def spectral_separation(
@@ -206,7 +212,7 @@ def separation_bound(C, D, sep: SpectralSeparation) -> float:
     """Upper bound ``sqrt(||C||_F^2 + ||D||_F^2) / sep`` on ``||X||_F``."""
     if not sep.value > 0.0:
         raise DomainError(f"separation must be positive, got {sep.value}")
-    return float(_separation_uppers(_one(C, "C"), _one(D, "D"), np.array([sep.value]))[0])
+    return float(_separation_uppers(*_pair(C, D), np.array([sep.value]))[0])
 
 
 def _separation_uppers(C: np.ndarray, D: np.ndarray, sep: np.ndarray) -> np.ndarray:
@@ -223,14 +229,15 @@ def norm_sum_bound(C, D) -> float:
     Valid because the solution is a pointwise convex-like mix of `C` and
     `D` in the joint eigenbasis; it needs no spectral information at all.
     """
-    return math.hypot(matrixcore.frobenius_norm(C), matrixcore.frobenius_norm(D))
+    C, D = _pair(C, D)
+    return math.hypot(matrixcore.frobenius_norm(C[0]), matrixcore.frobenius_norm(D[0]))
 
 
 def midpoint_bounds(C, D) -> BoundPair:
-    """Enclosure ``(||C + D||_F -+ ||C - D||_F) / 2``."""
-    s = matrixcore.frobenius_norm(np.asarray(C) + np.asarray(D))
-    d = matrixcore.frobenius_norm(np.asarray(C) - np.asarray(D))
-    return BoundPair(lower=(s - d) / 2.0, upper=(s + d) / 2.0, kind=BoundKind.MIDPOINT)
+    """Enclosure ``(||C + D||_F -+ ||C - D||_F) / 2``, the symmetric
+    enclosure at ``mu = 1``."""
+    lower, upper = _symmetric_enclosures(*_pair(C, D), np.array([1.0]))
+    return BoundPair(lower=float(lower[0]), upper=float(upper[0]), kind=BoundKind.MIDPOINT)
 
 
 def _positive_extremes(w: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -305,7 +312,7 @@ def weighted_bounds(C, D, params: WeightedBoundParams) -> BoundPair:
     scalar matrices, where ``c == 0`` collapses the enclosure to a point.
     """
     lower, upper = _weighted_enclosures(
-        _one(C, "C"), _one(D, "D"),
+        *_pair(C, D),
         np.array([params.a]), np.array([params.b]), np.array([params.c]),
     )
     return BoundPair(lower=float(lower[0]), upper=float(upper[0]), kind=BoundKind.WEIGHTED)
@@ -341,7 +348,7 @@ def symmetric_bounds(C, D, params: SymmetricBoundParams) -> BoundPair:
 
     Always at least as tight as the midpoint enclosure on both sides.
     """
-    lower, upper = _symmetric_enclosures(_one(C, "C"), _one(D, "D"), np.array([params.mu]))
+    lower, upper = _symmetric_enclosures(*_pair(C, D), np.array([params.mu]))
     return BoundPair(lower=float(lower[0]), upper=float(upper[0]), kind=BoundKind.SYMMETRIC)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -138,7 +138,7 @@ class ExampleReport:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One perturbation sweep record; mirrors the CSV columns."""
+    """One perturbation sweep record; its fields are the CSV columns, in order."""
 
     size: int
     rank: int
@@ -328,25 +328,17 @@ def run_montecarlo(config: ExperimentConfig) -> TrialTally:
         redraws=redraws,
     )
     if config.out_path is not None:
-        _write_tally(config.out_path, tally)
+        row = (tally.test.value, tally.trials, tally.seed, tally.alpha, tally.beta,
+               tally.gamma, tally.redraws)
+        _write_csv(config.out_path, _TALLY_HEADER, [row])
     return tally
 
 
-def _write_tally(path: str, tally: TrialTally) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_TALLY_HEADER)
-        writer.writerow(
-            [
-                tally.test.value,
-                tally.trials,
-                tally.seed,
-                tally.alpha,
-                tally.beta,
-                tally.gamma,
-                tally.redraws,
-            ]
-        )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -432,24 +424,5 @@ def run_perturb_sweep(
         for trial in range(trials)
     ]
     if out_path is not None:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_SWEEP_HEADER)
-            for row in rows:
-                writer.writerow(
-                    [
-                        row.size,
-                        row.rank,
-                        repr(row.epsilon),
-                        row.trial,
-                        repr(row.actual_u),
-                        repr(row.actual_h),
-                        repr(row.subunitary_at_identity),
-                        repr(row.psd_at_identity),
-                        repr(row.subunitary_optimized),
-                        repr(row.psd_optimized),
-                        repr(row.chen_li_sun),
-                        repr(row.hong_meng_zheng),
-                    ]
-                )
+        _write_csv(out_path, _SWEEP_HEADER, map(astuple, rows))
     return rows

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matrixcore
+from . import bounds, matrixcore
 from .exceptions import (
     DomainError,
     HypothesisError,
@@ -81,36 +81,54 @@ class SylvesterSolution:
     range_conforming: bool
 
 
-def _positive_mask(w: np.ndarray, n: int) -> np.ndarray:
+def _positive_mask(w: np.ndarray) -> np.ndarray:
     largest = max(float(w[-1]), 0.0)
-    return w > matrixcore.rank_cutoff((n, n), largest)
+    return w > matrixcore.rank_cutoff((w.size, w.size), largest)
 
 
-def _range_projector_from_eigh(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    cols = Q[:, _positive_mask(w, Q.shape[0])]
-    return cols @ cols.conj().T
-
-
-def _sqrt_and_pinv_sqrt(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Square root and its pseudoinverse from one eigendecomposition.
+def _sqrt_scales(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the square root and of its pseudoinverse.
 
     Sharing one rank decision matters: taking ``pinv(psd_sqrt(M))`` would
     re-decide rank after the square root has compressed the gap between
     genuine and round-off eigenvalues from ``eps`` to ``sqrt(eps)``, and a
     round-off eigenvalue that slips through gets inverted into noise.
     """
-    pos = _positive_mask(w, Q.shape[0])
+    pos = _positive_mask(w)
     root = np.where(pos, np.sqrt(np.maximum(w, 0.0)), 0.0)
     inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=pos)
-    return (Q * root) @ Q.conj().T, (Q * inv_root) @ Q.conj().T
+    return root, inv_root
 
 
-def _conforms(P: np.ndarray, M: np.ndarray, side: str) -> bool:
-    if side == "left":
-        resid = matrixcore.frobenius_norm(P @ M - M)
-    else:
-        resid = matrixcore.frobenius_norm(M @ P - M)
+def _conforms(w: np.ndarray, Q: np.ndarray, M: np.ndarray, side: str) -> bool:
+    """Whether `M` lies in the range of ``Q diag(w) Q*`` on the given side.
+
+    Measures ``||P M - M||_F`` (left) or ``||M P - M||_F`` (right) for the
+    range projector `P` as the norm of `M` against the null eigenvectors.
+    """
+    null = Q[:, ~_positive_mask(w)]
+    if null.shape[1] == 0:  # full rank; the norm of an empty product is rejected
+        return True
+    resid = matrixcore.frobenius_norm(null.conj().T @ M if side == "left" else M @ null)
     return resid <= _FLAG_RTOL * (1.0 + matrixcore.frobenius_norm(M))
+
+
+def _spectral_solve(M1, w1, Q1, M2, w2, Q2, S, keep=True) -> tuple[np.ndarray, float]:
+    """Solve ``M1 X + X M2 = S`` from ``M1 = Q1 diag(w1) Q1*`` and
+    ``M2 = Q2 diag(w2) Q2*``.
+
+    In the joint eigenbasis each entry is divided by ``w1_i + w2_j`` where
+    `keep` holds and set to zero elsewhere.  Returns `X` and the scaled
+    residual ``||M1 X + X M2 - S||_F / (1 + ||S||_F)``.
+    """
+    St = Q1.conj().T @ S @ Q2
+    Xt = np.zeros_like(St)
+    np.divide(St, w1[:, None] + w2[None, :], out=Xt, where=keep)
+    X = Q1 @ Xt @ Q2.conj().T
+    residual = matrixcore.frobenius_norm(M1 @ X + X @ M2 - S) / (
+        1.0 + matrixcore.frobenius_norm(S)
+    )
+    return X, residual
 
 
 def structured_problem(A, B, C, D, rtol: float = 1e-10) -> StructuredProblem:
@@ -142,17 +160,15 @@ def structured_problem(A, B, C, D, rtol: float = 1e-10) -> StructuredProblem:
             f"C and D must be {m} x {n} to match A and B, "
             f"got {C.shape} and {D.shape}"
         )
-    Pa = _range_projector_from_eigh(wa, Qa)
-    Pb = _range_projector_from_eigh(wb, Qb)
     return StructuredProblem(
         A=A,
         B=B,
         C=C,
         D=D,
-        c_left_conforming=_conforms(Pa, C, "left"),
-        c_right_conforming=_conforms(Pb, C, "right"),
-        d_left_conforming=_conforms(Pa, D, "left"),
-        d_right_conforming=_conforms(Pb, D, "right"),
+        c_left_conforming=_conforms(wa, Qa, C, "left"),
+        c_right_conforming=_conforms(wb, Qb, C, "right"),
+        d_left_conforming=_conforms(wa, Qa, D, "left"),
+        d_right_conforming=_conforms(wb, Qb, D, "right"),
         eigenvalues_a=wa,
         eigenvectors_a=Qa,
         eigenvalues_b=wb,
@@ -197,25 +213,14 @@ def solve_structured(problem: StructuredProblem, tol: float = 1e-8) -> Sylvester
     wa, Qa = problem.eigenvalues_a, problem.eigenvectors_a
     wb, Qb = problem.eigenvalues_b, problem.eigenvectors_b
     S = problem.A @ problem.C + problem.D @ problem.B
-    St = Qa.conj().T @ S @ Qb
-    pos_a = _positive_mask(wa, wa.size)
-    pos_b = _positive_mask(wb, wb.size)
-    denom = wa[:, None] + wb[None, :]
-    keep = pos_a[:, None] & pos_b[None, :]
-    Xt = np.zeros_like(St)
-    np.divide(St, denom, out=Xt, where=keep)
-    X = Qa @ Xt @ Qb.conj().T
-    residual = matrixcore.frobenius_norm(
-        problem.A @ X + X @ problem.B - S
-    ) / (1.0 + matrixcore.frobenius_norm(S))
+    keep = _positive_mask(wa)[:, None] & _positive_mask(wb)[None, :]
+    X, residual = _spectral_solve(problem.A, wa, Qa, problem.B, wb, Qb, S, keep)
     if not (residual <= tol):
         raise InconsistentSystemError(
             f"no range-conforming solution within tolerance: "
             f"scaled residual {residual:.3e} exceeds {tol:g}"
         )
-    Pa = _range_projector_from_eigh(wa, Qa)
-    Pb = _range_projector_from_eigh(wb, Qb)
-    conforming = _conforms(Pa, X, "left") and _conforms(Pb, X, "right")
+    conforming = _conforms(wa, Qa, X, "left") and _conforms(wb, Qb, X, "right")
     return SylvesterSolution(X=X, residual=residual, range_conforming=conforming)
 
 
@@ -260,17 +265,13 @@ def solve_general_hermitian(
         )
     wo, Qo = np.linalg.eigh(Omega)
     wg, Qg = np.linalg.eigh(Gamma)
-    diff = wo[:, None] - wg[None, :]
-    scale = max(float(np.abs(wo).max()), float(np.abs(wg).max()))
-    if float(np.abs(diff).min()) <= overlap_rtol * scale:
+    _, overlap = bounds._spectral_separations(wo[None], wg[None], overlap_rtol)
+    if overlap[0]:
         raise SpectralOverlapError(
             "spectra of Omega and Gamma overlap; the solution is not unique"
         )
-    Xt = (Qo.conj().T @ S @ Qg) / diff
-    X = Qo @ Xt @ Qg.conj().T
-    residual = matrixcore.frobenius_norm(Omega @ X - X @ Gamma - S) / (
-        1.0 + matrixcore.frobenius_norm(S)
-    )
+    # Omega X - X Gamma = S is Omega X + X (-Gamma) = S, negated exactly.
+    X, residual = _spectral_solve(Omega, wo, Qo, -Gamma, -wg, Qg, S)
     if not (residual <= tol):
         raise NumericalError(
             f"solution lost precision: scaled residual {residual:.3e} "
@@ -311,17 +312,19 @@ def splitting_identity_residual(
             f"range_conforming={solution.range_conforming}"
         )
     C, D, X = problem.C, problem.D, solution.X
-    sqrt_a, sqrt_pinv_a = _sqrt_and_pinv_sqrt(
-        problem.eigenvalues_a, problem.eigenvectors_a
-    )
-    sqrt_b, sqrt_pinv_b = _sqrt_and_pinv_sqrt(
-        problem.eigenvalues_b, problem.eigenvectors_b
-    )
+    Qa, Qb = problem.eigenvectors_a, problem.eigenvectors_b
+    root_a, inv_root_a = _sqrt_scales(problem.eigenvalues_a)
+    root_b, inv_root_b = _sqrt_scales(problem.eigenvalues_b)
+    x_c, d_x = X - C, D - X
+    # sqrt(A) = Qa diag(root_a) Qa* and so on, so by unitary invariance the
+    # weighted terms are entrywise-scaled copies in the joint eigenbasis.
+    weighted_x_c = root_a[:, None] * (Qa.conj().T @ x_c @ Qb) * inv_root_b
+    weighted_d_x = inv_root_a[:, None] * (Qa.conj().T @ d_x @ Qb) * root_b
     lhs = matrixcore.frobenius_norm(D - C) ** 2
     rhs = (
-        matrixcore.frobenius_norm(D - X) ** 2
-        + matrixcore.frobenius_norm(X - C) ** 2
-        + matrixcore.frobenius_norm(sqrt_a @ (X - C) @ sqrt_pinv_b) ** 2
-        + matrixcore.frobenius_norm(sqrt_pinv_a @ (D - X) @ sqrt_b) ** 2
+        matrixcore.frobenius_norm(d_x) ** 2
+        + matrixcore.frobenius_norm(x_c) ** 2
+        + matrixcore.frobenius_norm(weighted_x_c) ** 2
+        + matrixcore.frobenius_norm(weighted_d_x) ** 2
     )
     return abs(lhs - rhs) / (1.0 + lhs)

@@ -179,6 +179,36 @@ class TestMidpointBounds:
         assert pair.upper == pytest.approx(math.sqrt(2.0))
 
 
+class TestDataPairValidation:
+    """Every scalar enclosure rejects a data pair that could not come from
+    one problem, instead of broadcasting or measuring it anyway."""
+
+    FORMS = {
+        "separation": lambda C, D: separation_bound(C, D, SpectralSeparation(0.5)),
+        "norm_sum": norm_sum_bound,
+        "midpoint": midpoint_bounds,
+        "weighted": lambda C, D: weighted_bounds(
+            C, D, WeightedBoundParams(lambda1=2.0, lambda2=2.0, a=1.5, b=1.5, c=0.5)
+        ),
+        "symmetric": lambda C, D: symmetric_bounds(
+            C, D, SymmetricBoundParams(lam=2.0, mu=0.5)
+        ),
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_rejects_mismatched_shapes(self, form):
+        # A 1 x 2 D broadcasts against a 2 x 2 C under numpy arithmetic.
+        with pytest.raises(DomainError):
+            self.FORMS[form](np.eye(2), np.ones((1, 2)))
+
+    @pytest.mark.parametrize("form", ["midpoint", "norm_sum"])
+    def test_rejects_nan_data(self, form):
+        C = np.eye(2)
+        C[0, 1] = np.nan
+        with pytest.raises(DomainError):
+            self.FORMS[form](C, np.eye(2))
+
+
 class TestWeightedBounds:
     def test_scalar_coefficients(self):
         p = weighted_params_from_spectra([2.0, 2.0], [3.0, 3.0])

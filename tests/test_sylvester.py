@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polarbounds import matrixcore
 from polarbounds.exceptions import (
@@ -228,3 +229,112 @@ class TestSplittingIdentity:
         )
         with pytest.raises(HypothesisError):
             splitting_identity_residual(p, tampered)
+
+
+# Derandomized and bounded, so the suite draws the same examples every run.
+_PROPERTY = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+_EPS = float(np.finfo(np.float64).eps)
+_CASES = ("rank_deficient", "below_cutoff", "above_cutoff", "full_rank", "zero")
+
+
+@st.composite
+def psd_coefficient(draw, complex_entries, cases=_CASES):
+    """Hermitian PSD matrix at a scale between 1e-150 and 1e150, and an
+    orthonormal basis of its eigenvectors with eigenvalues of order one
+    times the scale.
+
+    `below_cutoff` and `above_cutoff` place one eigenvalue at half or twice
+    the rank cutoff ``n * eps * ||M||_2``; `zero` is the zero matrix.
+    """
+    case = draw(st.sampled_from(cases))
+    n = draw(st.integers(2 if case.endswith("cutoff") else 1, 4))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = complex_gaussian(rng, (n, n)) if complex_entries else rng.standard_normal((n, n))
+    U = np.linalg.qr(G)[0]
+    w = rng.uniform(1.0, 10.0, n)
+    clear = np.ones(n, dtype=bool)
+    if case == "zero":
+        clear[:] = False
+    elif case == "rank_deficient":
+        clear[: rng.integers(1, n + 1)] = False
+    elif case != "full_rank":
+        clear[0] = False
+    w[~clear] = 0.0
+    if case.endswith("cutoff"):
+        w[0] = (0.5 if case == "below_cutoff" else 2.0) * n * _EPS * w.max()
+    M = (U * (scale * w)) @ U.conj().T
+    return (M + M.conj().T) / 2, U[:, clear]
+
+
+@st.composite
+def conforming_data(draw, cases=_CASES, leaks=False):
+    """Coefficients `A`, `B` and data `C`, `D` on the eigenvectors of the
+    order-one eigenvalues of both, plus, with `leaks`, a component off
+    them of relative size log-uniform between 1e-14 and 1e-6, around the
+    1e-10 tolerance of the range flags."""
+    complex_entries = draw(st.booleans())
+    A, Ua = draw(psd_coefficient(complex_entries, cases))
+    B, Ub = draw(psd_coefficient(complex_entries, cases))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = A.shape[0], B.shape[0]
+
+    def gaussian():
+        return complex_gaussian(rng, (m, n)) if complex_entries else rng.standard_normal((m, n))
+
+    def datum():
+        M = Ua @ (Ua.conj().T @ gaussian() @ Ub) @ Ub.conj().T
+        if leaks and draw(st.booleans()):
+            M = M + 10.0 ** rng.uniform(-14.0, -6.0) * gaussian()
+        return M
+
+    return A, B, datum(), datum()
+
+
+def _reference_flag(w, Q, M, side):
+    """``||P M - M||_F <= 1e-10 (1 + ||M||_F)`` with the explicit range
+    projector `P`, and whether the residual is within 1e-3 relative of
+    that threshold."""
+    n = w.size
+    cols = Q[:, w > matrixcore.rank_cutoff((n, n), max(float(w[-1]), 0.0))]
+    P = cols @ cols.conj().T
+    resid = matrixcore.frobenius_norm(P @ M - M if side == "left" else M @ P - M)
+    threshold = 1e-10 * (1.0 + matrixcore.frobenius_norm(M))
+    return resid <= threshold, abs(resid - threshold) <= 1e-3 * threshold
+
+
+class TestSpectralKernelProperties:
+    @_PROPERTY
+    @given(conforming_data(leaks=True))
+    def test_flags_match_projector_reference(self, data):
+        p = structured_problem(*data)
+        wa, Qa = p.eigenvalues_a, p.eigenvectors_a
+        wb, Qb = p.eigenvalues_b, p.eigenvectors_b
+        for flag, (w, Q, M, side) in (
+            (p.c_left_conforming, (wa, Qa, p.C, "left")),
+            (p.c_right_conforming, (wb, Qb, p.C, "right")),
+            (p.d_left_conforming, (wa, Qa, p.D, "left")),
+            (p.d_right_conforming, (wb, Qb, p.D, "right")),
+        ):
+            expected, borderline = _reference_flag(w, Q, M, side)
+            assume(not borderline)
+            assert flag == expected
+
+    @_PROPERTY
+    @given(conforming_data())
+    def test_solution_is_range_conforming(self, data):
+        sol = solve_structured(structured_problem(*data))
+        assert sol.residual <= 1e-8
+        assert sol.range_conforming
+
+    @_PROPERTY
+    @given(conforming_data(cases=("full_rank",)))
+    def test_solvers_agree_with_kronecker_oracle(self, data):
+        A, B, C, D = data
+        S = A @ C + D @ B
+        expected = kronecker_solve(A, B, S)
+        atol = 1e-9 * (1.0 + np.linalg.norm(expected))
+        X = solve_structured(structured_problem(A, B, C, D)).X
+        npt.assert_allclose(X, expected, atol=atol)
+        npt.assert_allclose(solve_general_hermitian(A, -B, S), expected, atol=atol)
