@@ -1,0 +1,8 @@
+"""``python -m polarbounds``: the command line interface of :mod:`polarbounds.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -181,7 +181,9 @@ def _cmd_perturb_sweep(args: argparse.Namespace) -> int:
 
 def _print_matrix(name: str, M: np.ndarray) -> None:
     print(name)
-    if np.allclose(M.imag, 0.0):
+    # Imaginary parts count as round-off relative to the largest entry, so
+    # a matrix of small complex entries still prints them.
+    if np.abs(M.imag).max() <= 1e-8 * np.abs(M).max():
         M = M.real
     for row in np.atleast_2d(M):
         print("  " + "  ".join(f"{value:.10g}" for value in row))

@@ -17,6 +17,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,9 +40,10 @@ __all__ = [
 ]
 
 _COND_WARN = 1e12
-# The probe (1, 1) and its four unit steps along (Re s, Im s, Re t, Im t).
-_PROBES = ((1 + 0j, 1 + 0j), (2 + 0j, 1 + 0j), (1 + 1j, 1 + 0j), (1 + 0j, 2 + 0j),
-           (1 + 0j, 1 + 1j))
+# The probe (1, 1) and its four unit steps along x = (Re s - 1, Im s,
+# Re t - 1, Im t), shaped so one term-matrix build evaluates all five.
+_PROBE_S = np.array([1, 2, 1 + 1j, 1, 1], dtype=np.complex128).reshape(5, 1, 1)
+_PROBE_T = np.array([1, 1, 1, 2, 1 + 1j], dtype=np.complex128).reshape(5, 1, 1)
 
 
 class SearchStrategy(Enum):
@@ -62,7 +65,9 @@ class PerturbationScenario:
     `V` in the term formulas.  `lam` is
     ``max(||pinv(A)||_2 ||B||_2, ||A||_2 ||pinv(B)||_2)``, clamped to at
     least 1, which scales the correction term of each bound.  Inverses and
-    the three projectors appearing in the terms are precomputed.
+    the three projectors appearing in the terms are precomputed; the term
+    matrices of each bound, as affine functions of the probe, and the true
+    factor changes are computed on first use and kept.
     """
 
     A: np.ndarray
@@ -81,6 +86,22 @@ class PerturbationScenario:
     proj_corange_b: np.ndarray
     eye_left: np.ndarray
     eye_right: np.ndarray
+
+    @cached_property
+    def _subunitary_form(self) -> tuple[_AffineTerm, _AffineTerm, _AffineTerm]:
+        return _affine_form(self, _subunitary_matrices)
+
+    @cached_property
+    def _psd_form(self) -> tuple[_AffineTerm, _AffineTerm, _AffineTerm]:
+        return _affine_form(self, _psd_matrices)
+
+    @cached_property
+    def _factor_diffs(self) -> tuple[float, float]:
+        """``||V - U||_F`` and ``|| |B| - |A| ||_F``."""
+        return (
+            matrixcore.frobenius_norm(self.polar_b.U - self.polar_a.U),
+            matrixcore.frobenius_norm(self.polar_b.H - self.polar_a.H),
+        )
 
 
 @dataclass(frozen=True)
@@ -183,8 +204,12 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
     )
 
 
-def _subunitary_matrices(sc: PerturbationScenario, s: complex, t: complex):
-    """The three matrices whose Frobenius norms bound ``||V - U||_F``."""
+def _subunitary_matrices(sc: PerturbationScenario, s, t):
+    """The three matrices whose Frobenius norms bound ``||V - U||_F``.
+
+    `s` and `t` are complex scalars, or ``(k, 1, 1)`` arrays for a stack
+    of `k` evaluations per term.
+    """
     U, V = sc.polar_a.U, sc.polar_b.U
     Im, In = sc.eye_left, sc.eye_right
     D1a, D2a = sc.D1.conj().T, sc.D2.conj().T
@@ -199,8 +224,9 @@ def _subunitary_matrices(sc: PerturbationScenario, s: complex, t: complex):
     return t1, t2, t3
 
 
-def _psd_matrices(sc: PerturbationScenario, s: complex, t: complex):
-    """The three matrices whose Frobenius norms bound ``|| |B| - |A| ||_F``."""
+def _psd_matrices(sc: PerturbationScenario, s, t):
+    """The three matrices whose Frobenius norms bound ``|| |B| - |A| ||_F``;
+    `s` and `t` as in :func:`_subunitary_matrices`."""
     V = sc.polar_b.U
     In = sc.eye_right
     D1a, D2a = sc.D1.conj().T, sc.D2.conj().T
@@ -216,8 +242,46 @@ def _psd_matrices(sc: PerturbationScenario, s: complex, t: complex):
     return t1, t2, t3
 
 
+class _AffineTerm(NamedTuple):
+    """A term matrix as a real-affine function of the step `x` from the
+    probe (1, 1): ``T(x) = base + sum_k x[k] coef[k]``, with `coef` holding
+    the four coefficient matrices flattened."""
+
+    base: np.ndarray
+    coef: np.ndarray
+
+    def at(self, x: np.ndarray) -> np.ndarray:
+        if not x.any():
+            return self.base
+        return self.base + (x @ self.coef).reshape(self.base.shape)
+
+
+def _affine_form(sc: PerturbationScenario, matrices) -> tuple[_AffineTerm, ...]:
+    """The three terms of `matrices` in affine form, from one batched build.
+
+    Each term matrix is affine in `s`, `conj(s)`, `t` and `conj(t)`, hence
+    real-affine in ``x = (Re s - 1, Im s, Re t - 1, Im t)``: its value at
+    (1, 1) and its changes along the four unit steps determine it.
+    """
+    return tuple(
+        _AffineTerm(T[0], (T[1:] - T[0]).reshape(4, -1))
+        for T in matrices(sc, _PROBE_S, _PROBE_T)
+    )
+
+
+def _form(sc: PerturbationScenario, matrices) -> tuple[_AffineTerm, ...]:
+    """`sc`'s kept affine form of the terms `matrices` builds."""
+    if matrices is _subunitary_matrices:
+        return sc._subunitary_form
+    if matrices is _psd_matrices:
+        return sc._psd_form
+    raise ValueError(f"no affine form kept for {matrices!r}")
+
+
 def _terms(sc: PerturbationScenario, matrices, s, t) -> tuple[float, float, float]:
-    t1, t2, t3 = matrices(sc, complex(s), complex(t))
+    s, t = complex(s), complex(t)
+    x = np.array([s.real - 1.0, s.imag, t.real - 1.0, t.imag])
+    t1, t2, t3 = (term.at(x) for term in _form(sc, matrices))
     return (
         matrixcore.frobenius_norm(t1),
         matrixcore.frobenius_norm(t2),
@@ -262,8 +326,8 @@ def _report_at(scenario: PerturbationScenario, s: complex, t: complex) -> PolarP
         psd_terms=psd,
         subunitary_bound=sub_bound,
         psd_bound=psd_bound,
-        subunitary_diff=matrixcore.frobenius_norm(scenario.polar_b.U - scenario.polar_a.U),
-        psd_diff=matrixcore.frobenius_norm(scenario.polar_b.H - scenario.polar_a.H),
+        subunitary_diff=scenario._factor_diffs[0],
+        psd_diff=scenario._factor_diffs[1],
         subunitary_clamped=sub_clamped,
         psd_clamped=psd_clamped,
     )
@@ -274,19 +338,15 @@ def _radicand_form(sc: PerturbationScenario, matrices) -> np.ndarray:
 
     Here ``x = (Re s - 1, Im s, Re t - 1, Im t)`` is the step from the probe
     (1, 1), and the terms are those of `matrices`, `t3` scaled by
-    ``1 / sqrt(lam + 1)``.  Each term matrix is affine in `s`, `conj(s)`,
-    `t` and `conj(t)`, hence real-affine in `x`:
-    ``T(x) = T(0) + sum_k x_k (T(e_k) - T(0))``.  Its squared norm is
-    therefore exactly the quadratic form of ``Re(G* G)``, where the columns
-    of `G` are those five coefficient matrices, flattened.  `Q` is
-    symmetric up to round-off.
+    ``1 / sqrt(lam + 1)``.  Each term matrix is ``T(0) + sum_k x_k C_k``
+    (see :func:`_affine_form`), so its squared norm is exactly the
+    quadratic form of ``Re(conj(G) G^T)``, where the rows of `G` are
+    ``T(0)`` and the ``C_k``, flattened.  `Q` is symmetric up to round-off.
     """
-    at = [matrices(sc, s, t) for s, t in _PROBES]
     Q = np.zeros((5, 5))
-    for j, weight in enumerate((1.0, 1.0, -1.0 / (sc.lam + 1.0))):
-        base = at[0][j].ravel()
-        G = np.stack([base] + [probe[j].ravel() - base for probe in at[1:]], axis=1)
-        Q += weight * (G.conj().T @ G).real
+    for term, weight in zip(_form(sc, matrices), (1.0, 1.0, -1.0 / (sc.lam + 1.0))):
+        G = np.vstack((term.base.ravel(), term.coef))
+        Q += weight * (G.conj() @ G.T).real
     return Q
 
 
@@ -298,9 +358,9 @@ def _optimal_probe(sc: PerturbationScenario, matrices) -> tuple[complex, complex
     from (1, 1) solves ``H x = -g`` in the pseudo-inverse sense: Hessian
     eigenvalues at or below the rank cutoff, round-off negatives included,
     count as zero.  Along flat directions this keeps the probe at (1, 1),
-    where the terms are small and their direct evaluation loses least to
-    cancellation; the PSD terms, for one, do not depend on `t` at all in
-    exact arithmetic.
+    where the terms are the built matrices themselves, with no round-off
+    from the affine steps; the PSD terms, for one, do not depend on `t` at
+    all in exact arithmetic.
     """
     Q = _radicand_form(sc, matrices)
     H, g = Q[1:, 1:], Q[1:, 0]

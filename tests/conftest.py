@@ -1,8 +1,14 @@
 """Shared random-instance generators for the test suite."""
 
 import numpy as np
+from hypothesis import settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polarbounds import matrixcore
+
+# Reproducible property runs: derandomized, with no example database.
+PROPERTY = settings(max_examples=50, derandomize=True, database=None, deadline=None)
+INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64)
 
 
 def complex_gaussian(rng, shape):
@@ -47,3 +53,11 @@ def kronecker_solve(A, B, S):
     K = np.kron(np.eye(n), A) + np.kron(B.T, np.eye(m))
     x = np.linalg.solve(K, S.reshape(-1, order="F"))
     return x.reshape((m, n), order="F")
+
+
+def integer_matrix(shape, dtype, low=-9, high=9):
+    """Strategy for integer matrices of `dtype` with entries in
+    ``[low, high]``, from 0 when `dtype` is unsigned."""
+    if np.issubdtype(dtype, np.unsignedinteger):
+        low = max(low, 0)
+    return hnp.arrays(dtype, shape, elements=st.integers(low, high))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polarbounds import bounds as bounds_mod
 from polarbounds import matrixcore
@@ -23,7 +24,7 @@ from polarbounds.bounds import (
 )
 from polarbounds.exceptions import DomainError, SpectralOverlapError
 from polarbounds.sylvester import solve_structured, structured_problem
-from conftest import complex_gaussian, random_psd
+from conftest import INTEGER_DTYPES, PROPERTY, complex_gaussian, integer_matrix, random_psd
 
 
 class TestSpectralSeparation:
@@ -345,3 +346,33 @@ class TestEnclosureProperties:
         ):
             assert pair.lower == pytest.approx(x, rel=1e-12)
             assert pair.upper == pytest.approx(x, rel=1e-12)
+
+
+@st.composite
+def integer_bound_data(draw):
+    """Integer data `C`, `D` and positive integer spectra of `A` and `B`,
+    apart from each other so that the separation is defined."""
+    dtype = draw(st.sampled_from(INTEGER_DTYPES))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return (
+        draw(integer_matrix((m, n), dtype)),
+        draw(integer_matrix((m, n), dtype)),
+        draw(integer_matrix((m,), dtype, 1, 4)),
+        draw(integer_matrix((n,), dtype, 6, 9)),
+    )
+
+
+def five_bounds(C, D, wa, wb):
+    return (
+        separation_bound(C, D, spectral_separation(wa, wb)),
+        norm_sum_bound(C, D),
+        midpoint_bounds(C, D),
+        weighted_bounds(C, D, weighted_params_from_spectra(wa, wb)),
+        symmetric_bounds(C, D, symmetric_params_from_spectra(wa, wb)),
+    )
+
+
+@PROPERTY
+@given(integer_bound_data())
+def test_integer_data_give_the_float64_bounds(data):
+    assert five_bounds(*data) == five_bounds(*(x.astype(np.float64) for x in data))

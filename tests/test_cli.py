@@ -1,11 +1,15 @@
 import importlib.metadata
 import math
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import polarbounds
 from polarbounds import matrixcore
 from polarbounds.cli import main
 
@@ -127,6 +131,25 @@ class TestSolveCommand:
         assert "0.8791489579" in out
         assert "||X||_F = 1.2495947" in out
 
+    def test_small_complex_solution_prints_imaginary_parts(self, tmp_path, capsys):
+        # X = C = D; an absolute tolerance on the imaginary parts would
+        # print this X as the real matrix 1e-9 I.
+        C = (1 + 1j) * 1e-9 * np.eye(2)
+        assert main(solve_args(tmp_path, np.eye(2), np.eye(2), C, C)) == 0
+        out = capsys.readouterr().out
+        assert "  1e-09+1e-09j  0+0j\n  0+0j  1e-09+1e-09j\n" in out
+        assert "||X||_F = 2e-09" in out
+
+    def test_real_solution_at_large_scale_prints_real(self, tmp_path, capsys):
+        # Complex coefficients and C = D real, so X = C up to round-off
+        # imaginary parts of about 1e9 * eps, which print as real.
+        A = [[2.0, 1j], [-1j, 2.0]]
+        B = [[3.0, 1 + 1j], [1 - 1j, 2.0]]
+        C = 1e9 * np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert main(solve_args(tmp_path, A, B, C, C)) == 0
+        out = capsys.readouterr().out
+        assert "X =\n  1000000000  2000000000\n  3000000000  4000000000\n" in out
+
     def test_singular_coefficients_report_undefined_separation(self, tmp_path, capsys):
         A = np.diag([1.0, 0.0])
         C = [[1.0, 0.0], [0.0, 0.0]]
@@ -168,6 +191,18 @@ class TestSolveCommand:
 
 
 class TestEntryPoint:
+    def test_python_dash_m(self):
+        # Run the package imported here, from a source tree or installed.
+        root = str(pathlib.Path(polarbounds.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polarbounds", "example"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "solution norm" in proc.stdout
+
     # The console script comes with an installed distribution; importing
     # the package from a source tree (PYTHONPATH=src) provides none.  An
     # installed distribution without its script still fails here.

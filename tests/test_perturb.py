@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, strategies as st
 
 from polarbounds import matrixcore
 from polarbounds import perturb as perturb_mod
@@ -17,7 +18,13 @@ from polarbounds.perturb import (
     subunitary_bound,
     subunitary_terms,
 )
-from conftest import complex_gaussian, rank_r_matrix
+from conftest import (
+    INTEGER_DTYPES,
+    PROPERTY,
+    complex_gaussian,
+    integer_matrix,
+    rank_r_matrix,
+)
 
 
 def random_scenario(rng, m, n, rank=None, eps=0.1, complex_entries=True):
@@ -243,6 +250,55 @@ class TestOptimalProbe:
         assert getattr(bound(sc, SearchStrategy.OPTIMAL), field) == 0.0
 
 
+def direct_terms(matrices, sc, s, t):
+    """Norms of one scalar build of the term matrices, `t3` scaled."""
+    t1, t2, t3 = matrices(sc, complex(s), complex(t))
+    fro = matrixcore.frobenius_norm
+    return fro(t1), fro(t2), fro(t3) / math.sqrt(sc.lam + 1.0)
+
+
+@pytest.mark.parametrize("kind", sorted(BOUND_KINDS))
+class TestAffineTermKernel:
+    def scenarios(self):
+        rng = np.random.default_rng(518)
+        return [
+            random_scenario(rng, 3, 3),
+            random_scenario(rng, 2, 6, rank=1, eps=0.001),
+            random_scenario(rng, 5, 3, rank=2, complex_entries=False),
+        ]
+
+    def test_terms_at_one_one_are_the_direct_build(self, kind):
+        terms, matrices, _, _ = BOUND_KINDS[kind]
+        for sc in self.scenarios():
+            assert terms(sc, 1, 1) == direct_terms(matrices, sc, 1, 1)
+
+    def test_terms_match_direct_build_away_from_one_one(self, kind):
+        terms, matrices, _, _ = BOUND_KINDS[kind]
+        rng = np.random.default_rng(519)
+        for sc in self.scenarios():
+            for x in rng.uniform(-2.0, 2.0, (20, 4)):
+                s, t = 1 + complex(x[0], x[1]), 1 + complex(x[2], x[3])
+                expected = direct_terms(matrices, sc, s, t)
+                got = terms(sc, s, t)
+                scale = sum(expected)
+                for a, b in zip(got, expected):
+                    assert abs(a - b) <= 1e-12 * scale
+
+
+def test_each_family_built_once_per_scenario(monkeypatch):
+    calls = {}
+    for name in ("_subunitary_matrices", "_psd_matrices"):
+        def counted(*args, _name=name, _build=getattr(perturb_mod, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _build(*args)
+        monkeypatch.setattr(perturb_mod, name, counted)
+    sc = random_scenario(np.random.default_rng(520), 4, 3)
+    for strategy in (SearchStrategy.AT_ONE_ONE, SearchStrategy.OPTIMAL):
+        subunitary_bound(sc, strategy)
+        psd_factor_bound(sc, strategy)
+    assert calls == {"_subunitary_matrices": 1, "_psd_matrices": 1}
+
+
 def test_psd_probe_keeps_t_at_one():
     # The PSD terms do not depend on t, so the optimal probe leaves t at 1,
     # where the terms cancel the least in floating point.
@@ -254,3 +310,25 @@ def test_psd_probe_keeps_t_at_one():
 
 def test_grid_search_name_is_optimal_alias():
     assert SearchStrategy.GRID_THEN_LOCAL_SEARCH is SearchStrategy.OPTIMAL
+
+
+@st.composite
+def integer_scenario_data(draw):
+    """Integer `A` of any rank and diagonally dominant integer perturbers."""
+    dtype = draw(st.sampled_from(INTEGER_DTYPES))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    A = draw(integer_matrix((m, n), dtype))
+    D1 = draw(integer_matrix((m, m), dtype, -2, 2)) + 20 * np.eye(m, dtype=dtype)
+    D2 = draw(integer_matrix((n, n), dtype, -2, 2)) + 20 * np.eye(n, dtype=dtype)
+    return A, D1, D2
+
+
+@PROPERTY
+@given(integer_scenario_data())
+def test_integer_data_give_the_float64_results(data):
+    as_int = make_scenario(*data)
+    as_float = make_scenario(*(M.astype(np.float64) for M in data))
+    npt.assert_array_equal(as_int.B, as_float.B)
+    for strategy in (SearchStrategy.AT_ONE_ONE, SearchStrategy.OPTIMAL):
+        assert subunitary_bound(as_int, strategy) == subunitary_bound(as_float, strategy)
+        assert psd_factor_bound(as_int, strategy) == psd_factor_bound(as_float, strategy)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, strategies as st
 
 from polarbounds import matrixcore
 from polarbounds.exceptions import DomainError
 from polarbounds.polar import generalized_polar, verify_polar
-from conftest import complex_gaussian, rank_r_matrix
+from conftest import INTEGER_DTYPES, PROPERTY, complex_gaussian, integer_matrix, rank_r_matrix
 
 
 class TestKnownFactorizations:
@@ -140,3 +141,20 @@ class TestVerifyPolar:
             f_res.hermitian,
         ):
             assert value >= 0.0
+
+
+@st.composite
+def integer_matrices(draw):
+    dtype = draw(st.sampled_from(INTEGER_DTYPES))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    return draw(integer_matrix(shape, dtype))
+
+
+@PROPERTY
+@given(integer_matrices())
+def test_integer_input_gives_the_float64_factors(M):
+    as_int = generalized_polar(M)
+    as_float = generalized_polar(M.astype(np.float64))
+    npt.assert_array_equal(as_int.U, as_float.U)
+    npt.assert_array_equal(as_int.H, as_float.H)
+    assert as_int.rank == as_float.rank
