@@ -1,4 +1,5 @@
 import csv
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -215,6 +216,104 @@ class TestRunPerturbSweep:
             assert row.subunitary_at_identity == 0.0
             assert row.psd_at_identity == 0.0
             assert row.chen_li_sun == 0.0 and row.hong_meng_zheng == 0.0
+
+    # Every field of the 12-row sweep at the default seed, as written to
+    # the CSV.  Any change in draw order, operation order or norm kernel
+    # of the perturbation bounds shows up here.
+    GOLDEN_SWEEP = [
+        (
+            2, 1, 0.001, 0,
+            0.0017979670196392253, 0.0016451234351968554,
+            0.0024078433395451873, 0.0017752080940260265,
+            0.002407563253273347, 0.001774787415215302,
+            0.004113098782314267, 0.005719016449155573,
+        ),
+        (
+            2, 2, 0.001, 1,
+            0.0038862270135414903, 0.0029537767253967947,
+            0.0050648972386416495, 0.0056420741967159295,
+            0.005018169250247109, 0.0055632238748182065,
+            0.006229493876600559, 0.013651770107298546,
+        ),
+        (
+            2, 2, 0.01, 0,
+            0.01988757189785514, 0.061357189859406795,
+            0.03808960674625271, 0.12520963012999337,
+            0.027660017280439875, 0.09796652426881253,
+            0.05197139218376145, 0.22142158008102877,
+        ),
+        (
+            2, 1, 0.01, 1,
+            0.021096943813493182, 0.0335754442866768,
+            0.02692225743454594, 0.03403618234023998,
+            0.026905348645436446, 0.03398616241885906,
+            0.06243706556707261, 0.11178686610974929,
+        ),
+        (
+            2, 1, 0.1, 0,
+            0.08220619980392847, 0.12873272145482081,
+            0.11369139422998718, 0.17713302133385223,
+            0.09261402618713341, 0.1751455596274653,
+            0.7740050746984235, 0.6784564549764982,
+        ),
+        (
+            2, 2, 0.1, 1,
+            0.09348785620308835, 0.4457955562545215,
+            0.4122719751846667, 0.663185054076351,
+            0.13165026976882047, 0.6289459663823551,
+            0.6271764505363675, 1.4411759875465096,
+        ),
+        (
+            3, 1, 0.001, 0,
+            0.0028236494520061457, 0.007330118656818615,
+            0.002871220315182778, 0.007350286190986672,
+            0.002871134131500935, 0.00735022040442578,
+            0.009861257925392332, 0.023600351391273953,
+        ),
+        (
+            3, 3, 0.001, 1,
+            0.003728333659702184, 0.010408275230293083,
+            0.00581729563146458, 0.017902064847562245,
+            0.004924953921578219, 0.017460793815207633,
+            0.009971119793934202, 0.035212237010062625,
+        ),
+        (
+            3, 3, 0.01, 0,
+            0.04655888264545139, 0.0922317936752879,
+            0.06644637952704746, 0.3138391424039222,
+            0.056026671575614764, 0.25983428446006707,
+            0.08571888080865361, 0.6966182388486538,
+        ),
+        (
+            3, 2, 0.01, 1,
+            0.03258544685717254, 0.06836216374148052,
+            0.04543353049451799, 0.09631747779407086,
+            0.042983838278253916, 0.08868219183784856,
+            0.07276046918893098, 0.17639799922489421,
+        ),
+        (
+            3, 2, 0.1, 0,
+            0.3517025164586916, 0.6378221642583256,
+            0.4422984491879474, 0.9513775320001912,
+            0.4229654164435848, 0.8916252962120014,
+            0.9348092094849355, 3.2598087241108797,
+        ),
+        (
+            3, 2, 0.1, 1,
+            0.1816042509973585, 0.2500671598570323,
+            0.3127989791512175, 0.41356879632892224,
+            0.20561595778131497, 0.2948059348215686,
+            0.6927490891954634, 1.9159297133847983,
+        ),
+    ]
+
+    def test_golden_sweep(self):
+        rows = run_perturb_sweep(
+            sizes=[2, 3], epsilons=[0.001, 0.01, 0.1], trials=2,
+            seed=experiments.DEFAULT_SEED,
+        )
+        got = [tuple(map(repr, astuple(row))) for row in rows]
+        assert got == [tuple(map(repr, golden)) for golden in self.GOLDEN_SWEEP]
 
     def test_sweep_csv_schema(self, tmp_path):
         out = tmp_path / "sweep.csv"
