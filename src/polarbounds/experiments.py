@@ -44,6 +44,7 @@ _MAX_REDRAWS = 100
 _CHUNK = 4096
 
 _TALLY_HEADER = ["test_id", "trials", "seed", "alpha", "beta", "gamma", "redraws"]
+# Published CSV names of the `SweepRow` fields, in order; each side has readers.
 _SWEEP_HEADER = [
     "size",
     "rank",
@@ -352,8 +353,7 @@ def _sweep_trial(seed: int, si: int, size: int, ei: int, epsilon: float, trial: 
     D1 = np.eye(size) + epsilon * _complex_gaussian(rng, (size, size))
     D2 = np.eye(size) + epsilon * _complex_gaussian(rng, (size, size))
     scenario = perturb.make_scenario(A, D1, D2)
-    at_identity_sub = perturb.subunitary_bound(scenario)
-    at_identity_psd = perturb.psd_factor_bound(scenario)
+    at_identity = scenario._report_11
     optimal_sub = perturb.subunitary_bound(scenario, perturb.SearchStrategy.OPTIMAL)
     optimal_psd = perturb.psd_factor_bound(scenario, perturb.SearchStrategy.OPTIMAL)
     row = SweepRow(
@@ -361,13 +361,15 @@ def _sweep_trial(seed: int, si: int, size: int, ei: int, epsilon: float, trial: 
         rank=rank,
         epsilon=epsilon,
         trial=trial,
-        actual_u=at_identity_sub.subunitary_diff,
-        actual_h=at_identity_psd.psd_diff,
-        subunitary_at_identity=at_identity_sub.subunitary_bound,
-        psd_at_identity=at_identity_psd.psd_bound,
+        actual_u=at_identity.subunitary_diff,
+        actual_h=at_identity.psd_diff,
+        subunitary_at_identity=at_identity.subunitary_bound,
+        psd_at_identity=at_identity.psd_bound,
         subunitary_optimized=optimal_sub.subunitary_bound,
         psd_optimized=optimal_psd.psd_bound,
-        chen_li_sun=perturb.chen_li_sun_bound(D1, D2),
+        chen_li_sun=perturb._chen_li_sun(
+            scenario.D1, scenario.d1_inv, scenario.D2, scenario.d2_inv
+        ),
         hong_meng_zheng=perturb.hong_meng_zheng_bound(scenario),
     )
     _check_sweep_row(row)

@@ -7,6 +7,7 @@ caller tolerance wins, otherwise ``max(m, n) * eps * sigma_max``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,8 @@ def frobenius_norm(M) -> float:
     than ``sqrt(sum(|m_ij|^2))``.  The sequential scaled accumulation cannot
     overflow and, unlike pairwise summation, rounds two rearrangements of
     the same multiset of entries identically, so bound formulas that agree
-    in exact arithmetic stay consistent under comparison.
+    in exact arithmetic stay consistent under comparison.  A NaN or inf
+    entry raises `DomainError`; a norm beyond the largest double gives inf.
     """
     if not (
         isinstance(M, np.ndarray)
@@ -83,6 +85,14 @@ def frobenius_norm(M) -> float:
         and M.dtype in (np.float64, np.complex128)
     ):
         M = as_matrix(M)
+    norm = _nrm2(M)
+    if not math.isfinite(norm):
+        as_matrix(M)
+    return norm
+
+
+def _nrm2(M: np.ndarray) -> float:
+    """:func:`frobenius_norm` of a float64 or complex128 array, unchecked."""
     v = np.ascontiguousarray(np.ravel(M))
     if np.iscomplexobj(v):
         return float(_blas.dznrm2(v))

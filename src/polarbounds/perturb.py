@@ -9,6 +9,10 @@ cases through ``sqrt(term1^2 + term2^2 - term3^2)``.  The probe ``(1, 1)``
 already dominates the classical bounds.  The radicand is a real quadratic
 in the real and imaginary parts of ``s`` and ``t``, so the best probe has a
 closed form, and it can only tighten the result.
+
+The bound families are indexed 0 (subunitary) and 1 (PSD).  A scenario
+keeps each family's term matrices in affine form and its report at (1, 1),
+so the terms of each (family, probe) pair are evaluated once.
 """
 
 from __future__ import annotations
@@ -65,9 +69,11 @@ class PerturbationScenario:
     `V` in the term formulas.  `lam` is
     ``max(||pinv(A)||_2 ||B||_2, ||A||_2 ||pinv(B)||_2)``, clamped to at
     least 1, which scales the correction term of each bound.  Inverses and
-    the three projectors appearing in the terms are precomputed; the term
-    matrices of each bound, as affine functions of the probe, and the true
-    factor changes are computed on first use and kept.
+    the three projectors appearing in the terms are precomputed.  Computed
+    on first use and kept: `_forms`, the term matrices of the subunitary
+    and the PSD bound (families 0 and 1) as affine functions of the probe;
+    `_report_11`, the report at (1, 1); and `_factor_diffs`, the true
+    factor changes.
     """
 
     A: np.ndarray
@@ -88,12 +94,12 @@ class PerturbationScenario:
     eye_right: np.ndarray
 
     @cached_property
-    def _subunitary_form(self) -> tuple[_AffineTerm, _AffineTerm, _AffineTerm]:
-        return _affine_form(self, _subunitary_matrices)
+    def _forms(self) -> tuple[tuple[_AffineTerm, ...], tuple[_AffineTerm, ...]]:
+        return _affine_form(self, _subunitary_matrices), _affine_form(self, _psd_matrices)
 
     @cached_property
-    def _psd_form(self) -> tuple[_AffineTerm, _AffineTerm, _AffineTerm]:
-        return _affine_form(self, _psd_matrices)
+    def _report_11(self) -> PolarPerturbReport:
+        return _report_at(self, 1, 1)
 
     @cached_property
     def _factor_diffs(self) -> tuple[float, float]:
@@ -269,19 +275,10 @@ def _affine_form(sc: PerturbationScenario, matrices) -> tuple[_AffineTerm, ...]:
     )
 
 
-def _form(sc: PerturbationScenario, matrices) -> tuple[_AffineTerm, ...]:
-    """`sc`'s kept affine form of the terms `matrices` builds."""
-    if matrices is _subunitary_matrices:
-        return sc._subunitary_form
-    if matrices is _psd_matrices:
-        return sc._psd_form
-    raise ValueError(f"no affine form kept for {matrices!r}")
-
-
-def _terms(sc: PerturbationScenario, matrices, s, t) -> tuple[float, float, float]:
+def _terms(sc: PerturbationScenario, family: int, s, t) -> tuple[float, float, float]:
     s, t = complex(s), complex(t)
     x = np.array([s.real - 1.0, s.imag, t.real - 1.0, t.imag])
-    t1, t2, t3 = (term.at(x) for term in _form(sc, matrices))
+    t1, t2, t3 = (term.at(x) for term in sc._forms[family])
     return (
         matrixcore.frobenius_norm(t1),
         matrixcore.frobenius_norm(t2),
@@ -296,14 +293,14 @@ def subunitary_terms(
 
     All three vanish at ``(1, 1)`` when ``D1 == D2 == I``.
     """
-    return _terms(scenario, _subunitary_matrices, s, t)
+    return _terms(scenario, 0, s, t)
 
 
 def psd_terms(
     scenario: PerturbationScenario, s: complex, t: complex
 ) -> tuple[float, float, float]:
     """The three terms bounding ``|| |B| - |A| ||_F`` at probe ``(s, t)``."""
-    return _terms(scenario, _psd_matrices, s, t)
+    return _terms(scenario, 1, s, t)
 
 
 def _combine(terms: tuple[float, float, float]) -> tuple[float, bool]:
@@ -315,43 +312,36 @@ def _combine(terms: tuple[float, float, float]) -> tuple[float, bool]:
 
 
 def _report_at(scenario: PerturbationScenario, s: complex, t: complex) -> PolarPerturbReport:
-    sub = subunitary_terms(scenario, s, t)
-    psd = psd_terms(scenario, s, t)
-    sub_bound, sub_clamped = _combine(sub)
-    psd_bound, psd_clamped = _combine(psd)
+    sub, psd = subunitary_terms(scenario, s, t), psd_terms(scenario, s, t)
+    (sub_bound, sub_clamped), (psd_bound, psd_clamped) = _combine(sub), _combine(psd)
+    sub_diff, psd_diff = scenario._factor_diffs
     return PolarPerturbReport(
-        s=complex(s),
-        t=complex(t),
-        subunitary_terms=sub,
-        psd_terms=psd,
-        subunitary_bound=sub_bound,
-        psd_bound=psd_bound,
-        subunitary_diff=scenario._factor_diffs[0],
-        psd_diff=scenario._factor_diffs[1],
-        subunitary_clamped=sub_clamped,
-        psd_clamped=psd_clamped,
+        s=complex(s), t=complex(t), subunitary_terms=sub, psd_terms=psd,
+        subunitary_bound=sub_bound, psd_bound=psd_bound,
+        subunitary_diff=sub_diff, psd_diff=psd_diff,
+        subunitary_clamped=sub_clamped, psd_clamped=psd_clamped,
     )
 
 
-def _radicand_form(sc: PerturbationScenario, matrices) -> np.ndarray:
+def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
     """Real 5 x 5 `Q` with ``t1^2 + t2^2 - t3^2 = [1; x]^T Q [1; x]``.
 
     Here ``x = (Re s - 1, Im s, Re t - 1, Im t)`` is the step from the probe
-    (1, 1), and the terms are those of `matrices`, `t3` scaled by
+    (1, 1), and the terms are those of `family`, `t3` scaled by
     ``1 / sqrt(lam + 1)``.  Each term matrix is ``T(0) + sum_k x_k C_k``
     (see :func:`_affine_form`), so its squared norm is exactly the
     quadratic form of ``Re(conj(G) G^T)``, where the rows of `G` are
     ``T(0)`` and the ``C_k``, flattened.  `Q` is symmetric up to round-off.
     """
     Q = np.zeros((5, 5))
-    for term, weight in zip(_form(sc, matrices), (1.0, 1.0, -1.0 / (sc.lam + 1.0))):
+    for term, weight in zip(sc._forms[family], (1.0, 1.0, -1.0 / (sc.lam + 1.0))):
         G = np.vstack((term.base.ravel(), term.coef))
         Q += weight * (G.conj() @ G.T).real
     return Q
 
 
-def _optimal_probe(sc: PerturbationScenario, matrices) -> tuple[complex, complex]:
-    """The probe minimizing the radicand of `matrices` over all ``(s, t)``.
+def _optimal_probe(sc: PerturbationScenario, family: int) -> tuple[complex, complex]:
+    """The probe minimizing the radicand of `family` over all ``(s, t)``.
 
     Every probe gives a valid bound, so the radicand is bounded below and
     its Hessian is positive semidefinite up to round-off.  The step `x`
@@ -362,7 +352,7 @@ def _optimal_probe(sc: PerturbationScenario, matrices) -> tuple[complex, complex
     from the affine steps; the PSD terms, for one, do not depend on `t` at
     all in exact arithmetic.
     """
-    Q = _radicand_form(sc, matrices)
+    Q = _radicand_form(sc, family)
     H, g = Q[1:, 1:], Q[1:, 0]
     w, vecs = np.linalg.eigh(H)
     kept = w > matrixcore.rank_cutoff(H.shape, max(float(w[-1]), 0.0))
@@ -371,21 +361,18 @@ def _optimal_probe(sc: PerturbationScenario, matrices) -> tuple[complex, complex
     return 1 + complex(x[0], x[1]), 1 + complex(x[2], x[3])
 
 
-def _bound_value(sc: PerturbationScenario, matrices, s: complex, t: complex) -> float:
-    return _combine(_terms(sc, matrices, s, t))[0]
-
-
 def _bound(
-    scenario: PerturbationScenario, strategy: SearchStrategy, matrices
+    scenario: PerturbationScenario, strategy: SearchStrategy, family: int
 ) -> PolarPerturbReport:
-    """Report at (1, 1), or at the optimal probe of `matrices` when its
-    bound is strictly below the one at (1, 1)."""
-    s, t = 1 + 0j, 1 + 0j
+    """The kept report at (1, 1), or the report at the optimal probe of
+    `family` when its bound for `family` is strictly below the one at (1, 1)."""
+    report = scenario._report_11
     if strategy is SearchStrategy.OPTIMAL:
-        probe = _optimal_probe(scenario, matrices)
-        if _bound_value(scenario, matrices, *probe) < _bound_value(scenario, matrices, s, t):
-            s, t = probe
-    return _report_at(scenario, s, t)
+        searched = _report_at(scenario, *_optimal_probe(scenario, family))
+        field = ("subunitary_bound", "psd_bound")[family]
+        if getattr(searched, field) < getattr(report, field):
+            report = searched
+    return report
 
 
 def subunitary_bound(
@@ -398,7 +385,7 @@ def subunitary_bound(
     valid bound, so the optimized result is valid and never worse than
     the bound at (1, 1).
     """
-    return _bound(scenario, strategy, _subunitary_matrices)
+    return _bound(scenario, strategy, 0)
 
 
 def psd_factor_bound(
@@ -406,7 +393,7 @@ def psd_factor_bound(
     strategy: SearchStrategy = SearchStrategy.AT_ONE_ONE,
 ) -> PolarPerturbReport:
     """Bound ``|| |B| - |A| ||_F`` at (1, 1) or at the optimal probe."""
-    return _bound(scenario, strategy, _psd_matrices)
+    return _bound(scenario, strategy, 1)
 
 
 def chen_li_sun_bound(D1, D2) -> float:
@@ -418,14 +405,15 @@ def chen_li_sun_bound(D1, D2) -> float:
     """
     D1 = matrixcore.require_square(D1, "D1")
     D2 = matrixcore.require_square(D2, "D2")
-    d1_inv = _checked_inverse(D1, "D1")
-    d2_inv = _checked_inverse(D2, "D2")
-    Im = np.eye(D1.shape[0], dtype=D1.dtype)
-    In = np.eye(D2.shape[0], dtype=D2.dtype)
-    inv_part = matrixcore.frobenius_norm(Im - d1_inv) + matrixcore.frobenius_norm(
-        In - d2_inv
-    )
-    direct_part = matrixcore.frobenius_norm(Im - D1) + matrixcore.frobenius_norm(In - D2)
+    return _chen_li_sun(D1, _checked_inverse(D1, "D1"), D2, _checked_inverse(D2, "D2"))
+
+
+def _chen_li_sun(D1, d1_inv, D2, d2_inv) -> float:
+    """:func:`chen_li_sun_bound` from checked perturbers and their inverses."""
+    fro = matrixcore.frobenius_norm
+    Im, In = np.eye(len(D1), dtype=D1.dtype), np.eye(len(D2), dtype=D2.dtype)
+    inv_part = fro(Im - d1_inv) + fro(In - d2_inv)
+    direct_part = fro(Im - D1) + fro(In - D2)
     return math.sqrt(inv_part * inv_part + direct_part * direct_part)
 
 

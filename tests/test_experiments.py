@@ -324,6 +324,7 @@ class TestRunPerturbSweep:
             parsed = list(csv.reader(fh))
         assert parsed[0] == experiments._SWEEP_HEADER
         assert len(parsed) == 1 + len(rows)
+        assert all(len(cells) == len(experiments._SWEEP_HEADER) for cells in parsed[1:])
         # Float cells are written as reprs, so they parse back exactly.
         assert float(parsed[1][4]) == rows[0].actual_u
 
@@ -339,6 +340,18 @@ class TestRunPerturbSweep:
     def test_argument_validation(self, kwargs):
         with pytest.raises(DomainError):
             run_perturb_sweep(**kwargs)
+
+    def test_row_reuses_the_scenario_factorizations(self, monkeypatch):
+        # make_scenario takes one SVD of each perturber, A and B, and inverts
+        # each perturber once; the classical bound reuses those inverses.
+        calls = {"svd": 0, "inv": 0}
+        for name in calls:
+            def counted(*args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        run_perturb_sweep(sizes=[3], epsilons=[0.01], trials=1)
+        assert calls == {"svd": 4, "inv": 2}
 
     def test_row_check_rejects_violation(self):
         good = run_perturb_sweep(sizes=[2], epsilons=[0.01], trials=1)[0]

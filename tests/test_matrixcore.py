@@ -48,9 +48,16 @@ class TestFrobeniusNorm:
         with pytest.raises(DomainError):
             matrixcore.frobenius_norm(np.ones(3))
 
-    def test_rejects_non_finite_on_conversion(self):
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "dtype", [None, np.float64, np.complex128], ids=["list", "float64", "complex128"]
+    )
+    def test_rejects_non_finite_on_conversion(self, dtype, bad):
+        M = [[1.0, bad]]
+        if dtype is not None:
+            M = np.array(M, dtype=dtype)
         with pytest.raises(DomainError):
-            matrixcore.frobenius_norm([[1.0, float("nan")]])
+            matrixcore.frobenius_norm(M)
 
 
 class TestFrobeniusNorms:

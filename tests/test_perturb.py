@@ -209,10 +209,10 @@ class TestOptimalProbe:
         ]
 
     def test_quadratic_form_matches_terms(self, kind):
-        terms, matrices, _, _ = BOUND_KINDS[kind]
+        terms, _, _, _ = BOUND_KINDS[kind]
         rng = np.random.default_rng(514)
         for sc in self.scenarios():
-            Q = perturb_mod._radicand_form(sc, matrices)
+            Q = perturb_mod._radicand_form(sc, ("subunitary", "psd").index(kind))
             for x in 2.0 * rng.standard_normal((20, 4)):
                 # x is the step from the probe (1, 1).
                 t1, t2, t3 = terms(sc, 1 + complex(x[0], x[1]), 1 + complex(x[2], x[3]))
@@ -286,8 +286,10 @@ class TestAffineTermKernel:
 
 
 def test_each_family_built_once_per_scenario(monkeypatch):
+    # Both families' terms are evaluated once at (1, 1) and once at each
+    # family's optimal probe: 6 evaluations for the four bound calls.
     calls = {}
-    for name in ("_subunitary_matrices", "_psd_matrices"):
+    for name in ("_subunitary_matrices", "_psd_matrices", "_terms"):
         def counted(*args, _name=name, _build=getattr(perturb_mod, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _build(*args)
@@ -296,7 +298,7 @@ def test_each_family_built_once_per_scenario(monkeypatch):
     for strategy in (SearchStrategy.AT_ONE_ONE, SearchStrategy.OPTIMAL):
         subunitary_bound(sc, strategy)
         psd_factor_bound(sc, strategy)
-    assert calls == {"_subunitary_matrices": 1, "_psd_matrices": 1}
+    assert calls == {"_subunitary_matrices": 1, "_psd_matrices": 1, "_terms": 6}
 
 
 def test_psd_probe_keeps_t_at_one():
