@@ -41,6 +41,9 @@ __all__ = [
     "symmetric_bounds",
 ]
 
+# Spectra overlap when their smallest gap is at most this times their largest value.
+_OVERLAP_RTOL = 1e-12
+
 
 class BoundKind(Enum):
     MIDPOINT = "midpoint"
@@ -143,19 +146,17 @@ def _pair(C, D) -> tuple[np.ndarray, np.ndarray]:
     return C[None], D[None]
 
 
-def spectral_separation(
-    omega, gamma, overlap_rtol: float = 1e-12
-) -> SpectralSeparation:
+def spectral_separation(omega, gamma) -> SpectralSeparation:
     """Scale-free minimum separation between two real spectra.
+
+    The spectra count as overlapping, and the separation as undefined, when
+    the smallest gap ``|omega_i - gamma_j|`` is at most 1e-12 times the
+    largest magnitude in either spectrum.
 
     Parameters
     ----------
     omega, gamma : array_like
         Nonempty real spectra.
-    overlap_rtol : float, optional
-        The spectra count as overlapping, and the separation as undefined,
-        when the smallest gap ``|omega_i - gamma_j|`` is at most
-        ``overlap_rtol`` times the largest magnitude in either spectrum.
 
     Raises
     ------
@@ -165,7 +166,7 @@ def spectral_separation(
     """
     w = _real_spectrum(omega, "omega")
     g = _real_spectrum(gamma, "gamma")
-    values, overlap = _spectral_separations(w[None], g[None], overlap_rtol)
+    values, overlap = _spectral_separations(w[None], g[None])
     if overlap[0]:
         raise SpectralOverlapError(
             "spectra overlap; the scale-free separation is undefined"
@@ -173,17 +174,13 @@ def spectral_separation(
     return SpectralSeparation(float(values[0]))
 
 
-def _spectral_separations(
-    omega, gamma, overlap_rtol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray]:
+def _spectral_separations(omega, gamma) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise :func:`spectral_separation` over stacks of spectra.
 
     Parameters
     ----------
     omega, gamma : array_like, shapes (k, p) and (k, q)
         Row ``i`` of each holds one of the two spectra of pair ``i``.
-    overlap_rtol : float, optional
-        As in :func:`spectral_separation`.
 
     Returns
     -------
@@ -199,7 +196,7 @@ def _spectral_separations(
     num = w[:, :, None] - g[:, None, :]
     np.abs(num, out=num)
     scale = np.maximum(np.abs(w).max(axis=1), np.abs(g).max(axis=1))
-    overlap = num.min(axis=(1, 2)) <= overlap_rtol * scale
+    overlap = num.min(axis=(1, 2)) <= _OVERLAP_RTOL * scale
     den = w[:, :, None] ** 2 + g[:, None, :] ** 2
     np.sqrt(den, out=den)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -292,16 +289,17 @@ def weighted_params_from_spectra(spectrum_a, spectrum_b) -> WeightedBoundParams:
     )
 
 
-def weighted_bound_params(A, B, rtol: float = 1e-10) -> WeightedBoundParams:
+def weighted_bound_params(A, B) -> WeightedBoundParams:
     """Weighted-enclosure coefficients for Hermitian PSD `A` and `B`.
 
     Raises
     ------
     DomainError
-        If either matrix fails the Hermitian PSD check or is zero.
+        If either matrix fails the Hermitian PSD check (relative tolerance
+        1e-10) or is zero.
     """
-    wa, _ = matrixcore.psd_eigh(A, "A", rtol)
-    wb, _ = matrixcore.psd_eigh(B, "B", rtol)
+    wa, _ = matrixcore.psd_eigh(A, "A")
+    wb, _ = matrixcore.psd_eigh(B, "B")
     return weighted_params_from_spectra(wa, wb)
 
 
@@ -336,10 +334,11 @@ def symmetric_params_from_spectra(spectrum_a, spectrum_b) -> SymmetricBoundParam
     return SymmetricBoundParams(lam=float(p.lam[0]), mu=float(p.mu[0]))
 
 
-def symmetric_bound_params(A, B, rtol: float = 1e-10) -> SymmetricBoundParams:
-    """Symmetric-enclosure parameters for Hermitian PSD `A` and `B`."""
-    wa, _ = matrixcore.psd_eigh(A, "A", rtol)
-    wb, _ = matrixcore.psd_eigh(B, "B", rtol)
+def symmetric_bound_params(A, B) -> SymmetricBoundParams:
+    """Symmetric-enclosure parameters for Hermitian PSD `A` and `B`; raises
+    as :func:`weighted_bound_params`."""
+    wa, _ = matrixcore.psd_eigh(A, "A")
+    wb, _ = matrixcore.psd_eigh(B, "B")
     return symmetric_params_from_spectra(wa, wb)
 
 

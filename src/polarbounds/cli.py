@@ -7,6 +7,7 @@ or parse error (including malformed matrix files and shape mismatches).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -31,34 +32,46 @@ from .experiments import (
 _BOUND_LABELS = ("separation", "norm-sum", "midpoint", "weighted", "symmetric")
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {value}")
     return value
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
+def _positive_int(text: str) -> int:
+    return _integer(text, 1)
 
 
-def _float_list(text: str) -> list[float]:
+def _seed(text: str) -> int:
+    return _integer(text, 0)
+
+
+def _epsilon(text: str) -> float:
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one number")
-    return values
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite nonnegative number, got {text!r}"
+        )
+    return value
+
+
+def _list_of(parse):
+    """Argument type for comma-separated values, each read by `parse`."""
+
+    def parse_list(text: str) -> list:
+        values = [parse(part) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return values
+
+    return parse_list
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=_positive_int, default=100_000,
                    help="number of trials (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help="base seed (default: %(default)s)")
     p.add_argument("--size", type=_positive_int, default=3,
                    help="matrix size (default: %(default)s)")
@@ -107,13 +120,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "perturb-sweep",
         help="sweep perturbation scenarios and record factor bounds as CSV",
     )
-    p.add_argument("--sizes", type=_int_list, default=[2, 3, 4],
+    p.add_argument("--sizes", type=_list_of(_positive_int), default=[2, 3, 4],
                    help="comma-separated matrix sizes (default: 2,3,4)")
-    p.add_argument("--epsilons", type=_float_list, default=[0.001, 0.01, 0.1],
+    p.add_argument("--epsilons", type=_list_of(_epsilon), default=[0.001, 0.01, 0.1],
                    help="comma-separated perturbation scales (default: 0.001,0.01,0.1)")
     p.add_argument("--trials", type=_positive_int, default=10,
                    help="trials per size and epsilon (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help="base seed (default: %(default)s)")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=_cmd_perturb_sweep)

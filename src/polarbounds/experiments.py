@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import astuple, dataclass
 from enum import Enum
 
@@ -294,26 +295,37 @@ def _tally_range(
     )
 
 
+def _integer(value, name: str, least: int) -> int:
+    """`value` as an integer of at least `least`; a non-integral value
+    (in the sense of `operator.index`) or a smaller one raises `DomainError`."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or index < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return index
+
+
 def run_montecarlo(config: ExperimentConfig) -> TrialTally:
     """Tally the three bound comparisons over independent seeded trials.
 
     Trials are independent substreams of the seed, so the tally does not
     depend on chunking.  Writes a one-row CSV when `config.out_path` is set.
     """
-    if config.trials <= 0:
-        raise DomainError(f"trials must be positive, got {config.trials}")
-    if config.size <= 0:
-        raise DomainError(f"size must be positive, got {config.size}")
+    trials = _integer(config.trials, "trials", 1)
+    size = _integer(config.size, "size", 1)
+    seed = _integer(config.seed, "seed", 0)
+    # The kernel branches on identity, so a bare value would pick a wrong branch.
+    if not isinstance(config.test, ComparisonTest):
+        raise DomainError(f"test must be a ComparisonTest, got {config.test!r}")
+    if not isinstance(config.dist, SampleDistribution):
+        raise DomainError(f"dist must be a SampleDistribution, got {config.dist!r}")
     parts = [
         _tally_range(
-            config.seed,
-            start,
-            min(start + _CHUNK, config.trials),
-            config.test,
-            config.size,
-            config.dist,
+            seed, start, min(start + _CHUNK, trials), config.test, size, config.dist
         )
-        for start in range(0, config.trials, _CHUNK)
+        for start in range(0, trials, _CHUNK)
     ]
     alpha = sum(p[0] for p in parts)
     beta = sum(p[1] for p in parts)
@@ -321,8 +333,8 @@ def run_montecarlo(config: ExperimentConfig) -> TrialTally:
     redraws = sum(p[3] for p in parts)
     tally = TrialTally(
         test=config.test,
-        trials=config.trials,
-        seed=config.seed,
+        trials=trials,
+        seed=seed,
         alpha=alpha,
         beta=beta,
         gamma=gamma,
@@ -411,14 +423,14 @@ def run_perturb_sweep(
     next to the two classical bounds.  Every row is checked for the
     validity orderings before it is recorded.
     """
-    sizes = [int(n) for n in sizes]
+    sizes = [_integer(n, "sizes", 1) for n in sizes]
     epsilons = [float(e) for e in epsilons]
-    if not sizes or min(sizes) <= 0:
-        raise DomainError(f"sizes must be positive integers, got {sizes}")
-    if not epsilons or min(epsilons) < 0:
-        raise DomainError(f"epsilons must be nonnegative, got {epsilons}")
-    if trials <= 0:
-        raise DomainError(f"trials must be positive, got {trials}")
+    if not sizes:
+        raise DomainError("sizes must not be empty")
+    if not epsilons or not all(math.isfinite(e) and e >= 0 for e in epsilons):
+        raise DomainError(f"epsilons must be finite and nonnegative, got {epsilons}")
+    trials = _integer(trials, "trials", 1)
+    seed = _integer(seed, "seed", 0)
     rows = [
         _sweep_trial(seed, si, size, ei, epsilon, trial)
         for si, size in enumerate(sizes)

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+# Relative tolerance of the Hermitian and PSD checks on coefficients.
+_HERMITIAN_RTOL = 1e-10
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -51,17 +53,19 @@ def require_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def require_hermitian(M: np.ndarray, name: str = "matrix", rtol: float = 1e-10) -> np.ndarray:
-    """Check ``||M - M*||_F <= rtol * ||M||_F`` and return the symmetrized matrix."""
+def require_hermitian(M: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Check ``||M - M*||_F <= 1e-10 * ||M||_F`` and return the symmetrized matrix."""
     M = require_square(M, name)
-    if frobenius_norm(M - M.conj().T) > rtol * frobenius_norm(M):
-        raise DomainError(f"{name} is not Hermitian within relative tolerance {rtol:g}")
+    if frobenius_norm(M - M.conj().T) > _HERMITIAN_RTOL * frobenius_norm(M):
+        raise DomainError(
+            f"{name} is not Hermitian within relative tolerance {_HERMITIAN_RTOL:g}"
+        )
     return (M + M.conj().T) / 2
 
 
 def rank_cutoff(shape: tuple[int, int], largest: float, tol: float = 0.0) -> float:
     """Threshold below which singular values or PSD eigenvalues count as zero."""
-    if tol < 0:
+    if not tol >= 0:
         raise DomainError(f"tolerance must be nonnegative, got {tol}")
     if tol > 0:
         return tol
@@ -164,7 +168,7 @@ def svd(M, tol: float = 0.0) -> SvdFactors:
     Raises
     ------
     DomainError
-        If `M` is not a nonempty finite 2-D array or `tol` is negative.
+        If `M` is not a nonempty finite 2-D array or `tol` is negative or NaN.
     NumericalError
         If the underlying SVD iteration fails to converge.
     """
@@ -194,52 +198,38 @@ def pinv(M, tol: float = 0.0) -> np.ndarray:
     return (f.Q[:, :r] / f.sigma[:r]) @ f.P[:, :r].conj().T
 
 
-def psd_eigh(H, name: str = "H", rtol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def psd_eigh(H, name: str = "H") -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition ``(w, Q)`` of a Hermitian PSD matrix, `w` ascending.
 
     Raises
     ------
     DomainError
-        If `H` is not square, not Hermitian within `rtol`, or has an
-        eigenvalue below ``-rtol * ||H||_2``.
+        If `H` is not square, not Hermitian (see :func:`require_hermitian`),
+        or has an eigenvalue below ``-1e-10 * ||H||_2``.
     NumericalError
         If the eigensolver fails to converge.
     """
-    H = require_hermitian(H, name, rtol)
+    H = require_hermitian(H, name)
     try:
         w, Q = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition failed to converge") from exc
     scale = float(np.abs(w).max())
-    if w[0] < -rtol * scale:
+    if w[0] < -_HERMITIAN_RTOL * scale:
         raise DomainError(
             f"{name} is not positive semidefinite: eigenvalue {w[0]:.3e} "
-            f"below -{rtol:g} * ||{name}||_2"
+            f"below -{_HERMITIAN_RTOL:g} * ||{name}||_2"
         )
     return w, Q
 
 
-def psd_sqrt(H, rtol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(H) -> np.ndarray:
     """Hermitian PSD square root ``R`` with ``R @ R == H`` up to round-off.
 
-    Parameters
-    ----------
-    H : (n, n) array_like
-        Hermitian positive semidefinite matrix.  Hermitian means
-        ``||H - H*||_F <= rtol * ||H||_F``; eigenvalues down to
-        ``-rtol * ||H||_2`` are treated as round-off and clamped to zero.
-    rtol : float, optional
-        Relative tolerance for both checks.
-
-    Raises
-    ------
-    DomainError
-        If `H` is not square, not Hermitian within `rtol`, or has an
-        eigenvalue below ``-rtol * ||H||_2``.
-    NumericalError
-        If the eigensolver fails to converge.
+    Negative eigenvalues that :func:`psd_eigh` accepts as round-off are
+    clamped to zero; raises as :func:`psd_eigh`.
     """
-    w, Q = psd_eigh(H, "H", rtol)
+    w, Q = psd_eigh(H, "H")
     R = (Q * np.sqrt(np.maximum(w, 0.0))) @ Q.conj().T
     return (R + R.conj().T) / 2
 

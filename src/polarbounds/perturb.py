@@ -68,9 +68,8 @@ class PerturbationScenario:
     factors of `A` and `B`; their subunitary factors are written `U` and
     `V` in the term formulas.  `lam` is
     ``max(||pinv(A)||_2 ||B||_2, ||A||_2 ||pinv(B)||_2)``, clamped to at
-    least 1, which scales the correction term of each bound.  Inverses and
-    the three projectors appearing in the terms are precomputed.  Computed
-    on first use and kept: `_forms`, the term matrices of the subunitary
+    least 1, which scales the correction term of each bound.  Computed on
+    first use and kept: `_forms`, the term matrices of the subunitary
     and the PSD bound (families 0 and 1) as affine functions of the probe;
     `_report_11`, the report at (1, 1); and `_factor_diffs`, the true
     factor changes.
@@ -87,11 +86,6 @@ class PerturbationScenario:
     norm_b: float
     d1_inv: np.ndarray
     d2_inv: np.ndarray
-    proj_corange_a: np.ndarray
-    proj_range_b: np.ndarray
-    proj_corange_b: np.ndarray
-    eye_left: np.ndarray
-    eye_right: np.ndarray
 
     @cached_property
     def _forms(self) -> tuple[tuple[_AffineTerm, ...], tuple[_AffineTerm, ...]]:
@@ -189,7 +183,6 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
     polar_a, polar_b = _polar_from_svd(svd_a), _polar_from_svd(svd_b)
     norm_a, norm_b = float(svd_a.sigma[0]), float(svd_b.sigma[0])
     lam = max(_pinv_norm(svd_a) * norm_b, norm_a * _pinv_norm(svd_b), 1.0)
-    U, V = polar_a.U, polar_b.U
     return PerturbationScenario(
         A=A,
         D1=D1,
@@ -202,11 +195,6 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
         norm_b=norm_b,
         d1_inv=d1_inv,
         d2_inv=d2_inv,
-        proj_corange_a=U.conj().T @ U,
-        proj_range_b=V @ V.conj().T,
-        proj_corange_b=V.conj().T @ V,
-        eye_left=np.eye(m, dtype=np.complex128),
-        eye_right=np.eye(n, dtype=np.complex128),
     )
 
 
@@ -217,15 +205,14 @@ def _subunitary_matrices(sc: PerturbationScenario, s, t):
     of `k` evaluations per term.
     """
     U, V = sc.polar_a.U, sc.polar_b.U
-    Im, In = sc.eye_left, sc.eye_right
+    corange_a, range_b = U.conj().T @ U, V @ V.conj().T
+    Im, In = (np.eye(k, dtype=np.complex128) for k in sc.A.shape)
     D1a, D2a = sc.D1.conj().T, sc.D2.conj().T
-    t1 = V @ (In - t * sc.d2_inv) + sc.proj_range_b @ (np.conj(s) * sc.d1_inv - Im) @ U
-    t2 = U.conj().T @ (np.conj(t) * sc.D1 - Im) + sc.proj_corange_a @ (
-        In - s * sc.D2
-    ) @ V.conj().T
+    t1 = V @ (In - t * sc.d2_inv) + range_b @ (np.conj(s) * sc.d1_inv - Im) @ U
+    t2 = U.conj().T @ (np.conj(t) * sc.D1 - Im) + corange_a @ (In - s * sc.D2) @ V.conj().T
     t3 = (
-        V @ (np.conj(s) * D2a - t * sc.d2_inv) @ sc.proj_corange_a
-        + sc.proj_range_b @ (np.conj(s) * sc.d1_inv - t * D1a) @ U
+        V @ (np.conj(s) * D2a - t * sc.d2_inv) @ corange_a
+        + range_b @ (np.conj(s) * sc.d1_inv - t * D1a) @ U
     )
     return t1, t2, t3
 
@@ -233,17 +220,18 @@ def _subunitary_matrices(sc: PerturbationScenario, s, t):
 def _psd_matrices(sc: PerturbationScenario, s, t):
     """The three matrices whose Frobenius norms bound ``|| |B| - |A| ||_F``;
     `s` and `t` as in :func:`_subunitary_matrices`."""
-    V = sc.polar_b.U
-    In = sc.eye_right
+    U, V = sc.polar_a.U, sc.polar_b.U
+    corange_a, corange_b = U.conj().T @ U, V.conj().T @ V
+    In = np.eye(sc.A.shape[1], dtype=np.complex128)
     D1a, D2a = sc.D1.conj().T, sc.D2.conj().T
     abs_a, abs_b = sc.polar_a.H, sc.polar_b.H
     left_mix = V.conj().T @ (t * D1a - np.conj(s) * sc.d1_inv) @ sc.A
     t1 = abs_b @ (In - t * sc.d2_inv) + left_mix
     t2 = abs_a @ (s * sc.D2 - In)
     t3 = (
-        abs_b @ (In - t * sc.d2_inv) @ sc.proj_corange_a
+        abs_b @ (In - t * sc.d2_inv) @ corange_a
         + left_mix
-        - sc.proj_corange_b @ (np.conj(s) * D2a - In) @ abs_a
+        - corange_b @ (np.conj(s) * D2a - In) @ abs_a
     )
     return t1, t2, t3
 
@@ -424,7 +412,7 @@ def hong_meng_zheng_bound(scenario: PerturbationScenario) -> float:
     the bound is ``sqrt(rho^2 + ||A||_2^2 ||I - D2||_F^2)``.
     """
     sc = scenario
-    In = sc.eye_right
+    In = np.eye(sc.A.shape[1], dtype=np.complex128)
     rho = sc.norm_b * matrixcore.frobenius_norm(In - sc.d2_inv) + matrixcore.frobenius_norm(
         sc.D1.conj().T - sc.d1_inv
     ) * sc.norm_a

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _FLAG_RTOL = 1e-10
+# Largest scaled residual a solver accepts.
+_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +132,7 @@ def _spectral_solve(M1, w1, Q1, M2, w2, Q2, S, keep=True) -> tuple[np.ndarray, f
     return X, residual
 
 
-def structured_problem(A, B, C, D, rtol: float = 1e-10) -> StructuredProblem:
+def structured_problem(A, B, C, D) -> StructuredProblem:
     """Validate problem data and record range-compatibility flags.
 
     Parameters
@@ -139,16 +141,15 @@ def structured_problem(A, B, C, D, rtol: float = 1e-10) -> StructuredProblem:
         Hermitian PSD coefficients, m x m and n x n.
     C, D : array_like
         Data matrices, both m x n.
-    rtol : float, optional
-        Relative tolerance for the Hermitian and PSD checks.
 
     Raises
     ------
     DomainError
-        On shape mismatch or if `A` or `B` fails the Hermitian PSD check.
+        On shape mismatch or if `A` or `B` fails the Hermitian PSD check
+        (relative tolerance 1e-10).
     """
-    wa, Qa = matrixcore.psd_eigh(A, "A", rtol)
-    wb, Qb = matrixcore.psd_eigh(B, "B", rtol)
+    wa, Qa = matrixcore.psd_eigh(A, "A")
+    wb, Qb = matrixcore.psd_eigh(B, "B")
     A = matrixcore.as_matrix(A, "A")
     B = matrixcore.as_matrix(B, "B")
     C = matrixcore.as_matrix(C, "C")
@@ -175,7 +176,7 @@ def structured_problem(A, B, C, D, rtol: float = 1e-10) -> StructuredProblem:
     )
 
 
-def solve_structured(problem: StructuredProblem, tol: float = 1e-8) -> SylvesterSolution:
+def solve_structured(problem: StructuredProblem) -> SylvesterSolution:
     """Solve ``A X + X B = A C + D B`` for the range-conforming `X`.
 
     Parameters
@@ -183,8 +184,6 @@ def solve_structured(problem: StructuredProblem, tol: float = 1e-8) -> Sylvester
     problem : StructuredProblem
         Validated problem data; `c_left_conforming` and
         `d_right_conforming` must hold.
-    tol : float, optional
-        Acceptance threshold for the scaled residual.
 
     Returns
     -------
@@ -200,7 +199,7 @@ def solve_structured(problem: StructuredProblem, tol: float = 1e-8) -> Sylvester
     HypothesisError
         If the required compatibility flags are false.
     InconsistentSystemError
-        If the assembled residual exceeds `tol`, meaning no
+        If the scaled residual exceeds 1e-8, or is NaN, meaning no
         range-conforming solution exists within tolerance.
     """
     if not (problem.c_left_conforming and problem.d_right_conforming):
@@ -214,22 +213,16 @@ def solve_structured(problem: StructuredProblem, tol: float = 1e-8) -> Sylvester
     S = problem.A @ problem.C + problem.D @ problem.B
     keep = _positive_mask(wa)[:, None] & _positive_mask(wb)[None, :]
     X, residual = _spectral_solve(problem.A, wa, Qa, problem.B, wb, Qb, S, keep)
-    if not (residual <= tol):
+    if not (residual <= _RESIDUAL_TOL):
         raise InconsistentSystemError(
             f"no range-conforming solution within tolerance: "
-            f"scaled residual {residual:.3e} exceeds {tol:g}"
+            f"scaled residual {residual:.3e} exceeds {_RESIDUAL_TOL:g}"
         )
     conforming = _conforms(wa, Qa, X, "left") and _conforms(wb, Qb, X, "right")
     return SylvesterSolution(X=X, residual=residual, range_conforming=conforming)
 
 
-def solve_general_hermitian(
-    Omega,
-    Gamma,
-    S,
-    tol: float = 1e-8,
-    overlap_rtol: float = 1e-12,
-) -> np.ndarray:
+def solve_general_hermitian(Omega, Gamma, S) -> np.ndarray:
     """Solve ``Omega X - X Gamma = S`` for Hermitian `Omega`, `Gamma`.
 
     The spectra must be disjoint; each transformed entry is divided by
@@ -241,18 +234,14 @@ def solve_general_hermitian(
         Hermitian matrices, k x k and l x l, of any signature.
     S : array_like
         Right-hand side, k x l.
-    tol : float, optional
-        Acceptance threshold for the scaled residual.
-    overlap_rtol : float, optional
-        Spectra count as overlapping when the smallest eigenvalue gap is
-        at most ``overlap_rtol`` times the largest eigenvalue magnitude.
 
     Raises
     ------
     SpectralOverlapError
-        If the spectra overlap, so the solution is not unique.
+        If the spectra overlap (see :func:`bounds.spectral_separation`),
+        so the solution is not unique.
     NumericalError
-        If the computed solution's scaled residual exceeds `tol`, which
+        If the computed solution's scaled residual exceeds 1e-8, which
         happens when the spectra are close enough to destroy precision.
     """
     Omega = matrixcore.require_hermitian(Omega, "Omega")
@@ -264,17 +253,17 @@ def solve_general_hermitian(
         )
     wo, Qo = np.linalg.eigh(Omega)
     wg, Qg = np.linalg.eigh(Gamma)
-    _, overlap = bounds._spectral_separations(wo[None], wg[None], overlap_rtol)
+    _, overlap = bounds._spectral_separations(wo[None], wg[None])
     if overlap[0]:
         raise SpectralOverlapError(
             "spectra of Omega and Gamma overlap; the solution is not unique"
         )
     # Omega X - X Gamma = S is Omega X + X (-Gamma) = S, negated exactly.
     X, residual = _spectral_solve(Omega, wo, Qo, -Gamma, -wg, Qg, S)
-    if not (residual <= tol):
+    if not (residual <= _RESIDUAL_TOL):
         raise NumericalError(
             f"solution lost precision: scaled residual {residual:.3e} "
-            f"exceeds {tol:g}; the spectra are likely too close"
+            f"exceeds {_RESIDUAL_TOL:g}; the spectra are likely too close"
         )
     return X
 

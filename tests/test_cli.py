@@ -77,6 +77,12 @@ class TestMontecarloCommand:
             main(["montecarlo", "--test", "vi"])
         assert exc.value.code == 2
 
+    def test_rejects_negative_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["montecarlo", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+
 
 class TestPerturbSweepCommand:
     def test_small_sweep(self, tmp_path, capsys):
@@ -102,6 +108,18 @@ class TestPerturbSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["perturb-sweep", "--sizes", "2,x", "--out", "s.csv"])
         assert exc.value.code == 2
+
+    def test_rejects_nonpositive_size(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perturb-sweep", "--sizes", "0", "--out", "s.csv"])
+        assert exc.value.code == 2
+        assert "argument --sizes" in capsys.readouterr().err
+
+    def test_rejects_non_finite_epsilon(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perturb-sweep", "--epsilons", "nan", "--out", "s.csv"])
+        assert exc.value.code == 2
+        assert "argument --epsilons" in capsys.readouterr().err
 
 
 class TestSolveCommand:

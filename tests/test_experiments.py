@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -192,11 +193,21 @@ class TestRunMontecarlo:
             run_montecarlo(ExperimentConfig(trials=2))
 
     @pytest.mark.parametrize(
-        "kwargs", [{"trials": 0}, {"trials": -5}, {"size": 0}]
+        "kwargs",
+        [
+            {"trials": 0}, {"trials": -5}, {"size": 0},
+            {"trials": 2.5}, {"size": 2.5}, {"seed": -1},
+            {"test": "i"}, {"dist": "uniform-real"},
+        ],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(DomainError):
             run_montecarlo(ExperimentConfig(**kwargs))
+
+    def test_numpy_integer_config(self):
+        config = ExperimentConfig(trials=50, seed=7, size=3)
+        numpy_config = ExperimentConfig(trials=np.int64(50), seed=np.uint32(7), size=np.int32(3))
+        assert run_montecarlo(numpy_config) == run_montecarlo(config)
 
 
 class TestRunPerturbSweep:
@@ -335,6 +346,12 @@ class TestRunPerturbSweep:
             {"sizes": [0], "epsilons": [0.1], "trials": 1},
             {"sizes": [2], "epsilons": [-0.1], "trials": 1},
             {"sizes": [2], "epsilons": [0.1], "trials": 0},
+            {"sizes": [2.7], "epsilons": [0.1], "trials": 1},
+            {"sizes": [2.5], "epsilons": [0.1], "trials": 1},
+            {"sizes": [2], "epsilons": [0.1], "trials": 2.5},
+            {"sizes": [2], "epsilons": [0.1], "trials": 1, "seed": -1},
+            {"sizes": [2], "epsilons": [math.nan], "trials": 1},
+            {"sizes": [2], "epsilons": [math.inf], "trials": 1},
         ],
     )
     def test_argument_validation(self, kwargs):

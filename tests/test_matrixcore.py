@@ -129,9 +129,13 @@ class TestSvd:
         assert matrixcore.svd(M).rank == 2
         assert matrixcore.svd(M, tol=1e-2).rank == 1
 
-    def test_negative_tolerance_rejected(self):
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_negative_tolerance_rejected(self, tol):
         with pytest.raises(DomainError):
-            matrixcore.svd(np.eye(2), tol=-1.0)
+            matrixcore.svd(np.eye(2), tol=tol)
+
+    def test_infinite_tolerance_gives_rank_zero(self):
+        assert matrixcore.svd(np.diag([1.0, 1e-3]), tol=math.inf).rank == 0
 
     def test_sigma_nonincreasing(self):
         rng = np.random.default_rng(107)

@@ -114,6 +114,10 @@ class TestFactorProperties:
         assert generalized_polar(M).rank == 2
         assert generalized_polar(M, tol=1e-2).rank == 1
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(DomainError):
+            generalized_polar(np.diag([1.0, 1e-3]), tol=math.nan)
+
 
 class TestVerifyPolar:
     def test_rejects_mismatched_factors(self):
