@@ -10,17 +10,14 @@ perturbations ``B = D1* A D2``.
 from .bounds import (
     BoundKind,
     BoundPair,
-    SpectralSeparation,
     SymmetricBoundParams,
     WeightedBoundParams,
     midpoint_bounds,
     norm_sum_bound,
     separation_bound,
     spectral_separation,
-    symmetric_bound_params,
     symmetric_bounds,
     symmetric_params_from_spectra,
-    weighted_bound_params,
     weighted_bounds,
     weighted_params_from_spectra,
 )
@@ -99,7 +96,6 @@ __all__ = [
     "SampleDistribution",
     "SearchStrategy",
     "SpectralOverlapError",
-    "SpectralSeparation",
     "StructuredProblem",
     "SvdFactors",
     "SweepRow",
@@ -133,11 +129,9 @@ __all__ = [
     "subunitary_bound",
     "subunitary_terms",
     "svd",
-    "symmetric_bound_params",
     "symmetric_bounds",
     "symmetric_params_from_spectra",
     "verify_polar",
-    "weighted_bound_params",
     "weighted_bounds",
     "weighted_params_from_spectra",
     "write_matrix",

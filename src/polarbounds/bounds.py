@@ -26,17 +26,14 @@ from .exceptions import DomainError, SpectralOverlapError
 __all__ = [
     "BoundKind",
     "BoundPair",
-    "SpectralSeparation",
     "WeightedBoundParams",
     "SymmetricBoundParams",
     "spectral_separation",
     "separation_bound",
     "norm_sum_bound",
     "midpoint_bounds",
-    "weighted_bound_params",
     "weighted_params_from_spectra",
     "weighted_bounds",
-    "symmetric_bound_params",
     "symmetric_params_from_spectra",
     "symmetric_bounds",
 ]
@@ -49,14 +46,6 @@ class BoundKind(Enum):
     MIDPOINT = "midpoint"
     WEIGHTED = "weighted"
     SYMMETRIC = "symmetric"
-
-
-@dataclass(frozen=True)
-class SpectralSeparation:
-    """Scale-free separation ``min |omega - gamma| / sqrt(omega^2 + gamma^2)``
-    over all pairs drawn from two real spectra."""
-
-    value: float
 
 
 @dataclass(frozen=True)
@@ -78,7 +67,8 @@ class WeightedBoundParams:
 
     ``lambda1 = ||pinv(A)||_2 ||B||_2`` and ``lambda2 = ||A||_2 ||pinv(B)||_2``
     give ``a = 1 + 1/lambda1``, ``b = 1 + 1/lambda2`` and
-    ``c = sqrt(1 - 1/(lambda1 lambda2))``; always ``c < min(a, b)``.
+    ``c = sqrt(1 - 1/(lambda1 lambda2))``; always ``c < min(a, b)``.  In
+    the stacked forms each field is an array with one entry per pair.
     """
 
     lambda1: float
@@ -91,36 +81,10 @@ class WeightedBoundParams:
 @dataclass(frozen=True)
 class SymmetricBoundParams:
     """Single gap weight ``mu = sqrt((lam - 1)/(lam + 1)) < 1`` where
-    ``lam = max(lambda1, lambda2)``."""
+    ``lam = max(lambda1, lambda2)``; arrays in the stacked forms."""
 
     lam: float
     mu: float
-
-
-@dataclass(frozen=True)
-class _StackedParams:
-    """:class:`WeightedBoundParams` and :class:`SymmetricBoundParams` for a
-    stack of coefficient pairs, one array entry per pair."""
-
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    lam: np.ndarray
-    mu: np.ndarray
-
-
-def _real_spectrum(values, name: str) -> np.ndarray:
-    try:
-        w = np.asarray(values, dtype=np.float64).ravel()
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a real spectrum") from exc
-    if w.size == 0:
-        raise DomainError(f"{name} must be nonempty")
-    if not np.isfinite(w).all():
-        raise DomainError(f"{name} contains non-finite values")
-    return w
 
 
 def _real_spectra(values, name: str) -> np.ndarray:
@@ -135,6 +99,15 @@ def _real_spectra(values, name: str) -> np.ndarray:
     return w
 
 
+def _stack_of_one(spectrum, name: str) -> np.ndarray:
+    """Real `spectrum` flattened into a stack of one, for the one-row case of
+    a stacked form, which validates it."""
+    try:
+        return np.asarray(spectrum, dtype=np.float64).reshape(1, -1)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a real spectrum") from exc
+
+
 def _pair(C, D) -> tuple[np.ndarray, np.ndarray]:
     """Data matrices `C` and `D` as stacks of one, for the one-row case of a
     stacked form; :class:`DomainError` unless both are finite matrices of
@@ -146,7 +119,7 @@ def _pair(C, D) -> tuple[np.ndarray, np.ndarray]:
     return C[None], D[None]
 
 
-def spectral_separation(omega, gamma) -> SpectralSeparation:
+def spectral_separation(omega, gamma) -> float:
     """Scale-free minimum separation between two real spectra.
 
     The spectra count as overlapping, and the separation as undefined, when
@@ -164,14 +137,14 @@ def spectral_separation(omega, gamma) -> SpectralSeparation:
         If the spectra overlap in the sense above, including the case
         where both contain zero.
     """
-    w = _real_spectrum(omega, "omega")
-    g = _real_spectrum(gamma, "gamma")
-    values, overlap = _spectral_separations(w[None], g[None])
+    values, overlap = _spectral_separations(
+        _stack_of_one(omega, "omega"), _stack_of_one(gamma, "gamma")
+    )
     if overlap[0]:
         raise SpectralOverlapError(
             "spectra overlap; the scale-free separation is undefined"
         )
-    return SpectralSeparation(float(values[0]))
+    return float(values[0])
 
 
 def _spectral_separations(omega, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -205,11 +178,12 @@ def _spectral_separations(omega, gamma) -> tuple[np.ndarray, np.ndarray]:
     return values, overlap
 
 
-def separation_bound(C, D, sep: SpectralSeparation) -> float:
-    """Upper bound ``sqrt(||C||_F^2 + ||D||_F^2) / sep`` on ``||X||_F``."""
-    if not sep.value > 0.0:
-        raise DomainError(f"separation must be positive, got {sep.value}")
-    return float(_separation_uppers(*_pair(C, D), np.array([sep.value]))[0])
+def separation_bound(C, D, sep: float) -> float:
+    """Upper bound ``sqrt(||C||_F^2 + ||D||_F^2) / sep`` on ``||X||_F``, for
+    ``0 < sep < inf``; an infinite `sep` would give the false bound 0."""
+    if not 0.0 < sep < math.inf:
+        raise DomainError(f"separation must be positive and finite, got {sep}")
+    return float(_separation_uppers(*_pair(C, D), np.array([sep]))[0])
 
 
 def _separation_uppers(C: np.ndarray, D: np.ndarray, sep: np.ndarray) -> np.ndarray:
@@ -249,7 +223,7 @@ def _positive_extremes(w: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray
     return np.where(pos, w, np.inf).min(axis=1), largest
 
 
-def _stacked_params(spectra_a, spectra_b) -> _StackedParams:
+def _stacked_params(spectra_a, spectra_b) -> tuple[WeightedBoundParams, SymmetricBoundParams]:
     """Weighted and symmetric parameters for stacks of PSD spectra.
 
     Row ``i`` of `spectra_a` and `spectra_b` holds the spectra of one pair
@@ -263,44 +237,29 @@ def _stacked_params(spectra_a, spectra_b) -> _StackedParams:
     lambda1 = (1.0 / min_a) * max_b
     lambda2 = max_a * (1.0 / min_b)
     lam = np.maximum(np.maximum(lambda1, lambda2), 1.0)
-    return _StackedParams(
-        lambda1=lambda1,
-        lambda2=lambda2,
-        a=1.0 + 1.0 / lambda1,
-        b=1.0 + 1.0 / lambda2,
-        c=np.sqrt(np.maximum(0.0, 1.0 - 1.0 / (lambda1 * lambda2))),
-        lam=lam,
-        mu=np.sqrt((lam - 1.0) / (lam + 1.0)),
+    return (
+        WeightedBoundParams(
+            lambda1=lambda1,
+            lambda2=lambda2,
+            a=1.0 + 1.0 / lambda1,
+            b=1.0 + 1.0 / lambda2,
+            c=np.sqrt(np.maximum(0.0, 1.0 - 1.0 / (lambda1 * lambda2))),
+        ),
+        SymmetricBoundParams(lam=lam, mu=np.sqrt((lam - 1.0) / (lam + 1.0))),
     )
+
+
+def _one_row(spectrum_a, spectrum_b) -> tuple[WeightedBoundParams, SymmetricBoundParams]:
+    """Row 0 of :func:`_stacked_params` for one pair of spectra, as floats."""
+    stacked = _stacked_params(
+        _stack_of_one(spectrum_a, "spectrum_a"), _stack_of_one(spectrum_b, "spectrum_b")
+    )
+    return tuple(type(p)(*(float(v[0]) for v in vars(p).values())) for p in stacked)
 
 
 def weighted_params_from_spectra(spectrum_a, spectrum_b) -> WeightedBoundParams:
     """Weighted-enclosure coefficients from PSD spectra of `A` and `B`."""
-    p = _stacked_params(
-        _real_spectrum(spectrum_a, "spectrum_a")[None],
-        _real_spectrum(spectrum_b, "spectrum_b")[None],
-    )
-    return WeightedBoundParams(
-        lambda1=float(p.lambda1[0]),
-        lambda2=float(p.lambda2[0]),
-        a=float(p.a[0]),
-        b=float(p.b[0]),
-        c=float(p.c[0]),
-    )
-
-
-def weighted_bound_params(A, B) -> WeightedBoundParams:
-    """Weighted-enclosure coefficients for Hermitian PSD `A` and `B`.
-
-    Raises
-    ------
-    DomainError
-        If either matrix fails the Hermitian PSD check (relative tolerance
-        1e-10) or is zero.
-    """
-    wa, _ = matrixcore.psd_eigh(A, "A")
-    wb, _ = matrixcore.psd_eigh(B, "B")
-    return weighted_params_from_spectra(wa, wb)
+    return _one_row(spectrum_a, spectrum_b)[0]
 
 
 def weighted_bounds(C, D, params: WeightedBoundParams) -> BoundPair:
@@ -327,19 +286,7 @@ def _weighted_enclosures(C, D, a, b, c) -> tuple[np.ndarray, np.ndarray]:
 
 def symmetric_params_from_spectra(spectrum_a, spectrum_b) -> SymmetricBoundParams:
     """Symmetric-enclosure parameters from PSD spectra of `A` and `B`."""
-    p = _stacked_params(
-        _real_spectrum(spectrum_a, "spectrum_a")[None],
-        _real_spectrum(spectrum_b, "spectrum_b")[None],
-    )
-    return SymmetricBoundParams(lam=float(p.lam[0]), mu=float(p.mu[0]))
-
-
-def symmetric_bound_params(A, B) -> SymmetricBoundParams:
-    """Symmetric-enclosure parameters for Hermitian PSD `A` and `B`; raises
-    as :func:`weighted_bound_params`."""
-    wa, _ = matrixcore.psd_eigh(A, "A")
-    wb, _ = matrixcore.psd_eigh(B, "B")
-    return symmetric_params_from_spectra(wa, wb)
+    return _one_row(spectrum_a, spectrum_b)[1]
 
 
 def symmetric_bounds(C, D, params: SymmetricBoundParams) -> BoundPair:

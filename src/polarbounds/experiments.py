@@ -181,7 +181,7 @@ def run_example() -> ExampleReport:
     symmetric = bounds.symmetric_params_from_spectra(wa, wb)
     return ExampleReport(
         x_norm=x_norm,
-        separation=sep.value,
+        separation=sep,
         lam=symmetric.lam,
         mu=symmetric.mu,
         upper_separation=bounds.separation_bound(C, D, sep),
@@ -283,10 +283,10 @@ def _tally_range(
             f"trial {indices[overlap][0]} could not draw coefficients with "
             f"separated spectra after {_MAX_REDRAWS} attempts"
         )
-    params = bounds._stacked_params(wa, wb)
+    weighted, symmetric = bounds._stacked_params(wa, wb)
     ub_separation = bounds._separation_uppers(C, D, sep)
-    _, ub_weighted = bounds._weighted_enclosures(C, D, params.a, params.b, params.c)
-    _, ub_symmetric = bounds._symmetric_enclosures(C, D, params.mu)
+    _, ub_weighted = bounds._weighted_enclosures(C, D, weighted.a, weighted.b, weighted.c)
+    _, ub_symmetric = bounds._symmetric_enclosures(C, D, symmetric.mu)
     return (
         int(np.count_nonzero(ub_weighted <= ub_separation)),
         int(np.count_nonzero(ub_weighted <= ub_symmetric)),
@@ -424,7 +424,10 @@ def run_perturb_sweep(
     validity orderings before it is recorded.
     """
     sizes = [_integer(n, "sizes", 1) for n in sizes]
-    epsilons = [float(e) for e in epsilons]
+    try:
+        epsilons = [float(e) for e in epsilons]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"epsilons must be numbers, got {epsilons!r}") from exc
     if not sizes:
         raise DomainError("sizes must not be empty")
     if not epsilons or not all(math.isfinite(e) and e >= 0 for e in epsilons):

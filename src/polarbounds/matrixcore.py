@@ -65,7 +65,11 @@ def require_hermitian(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def rank_cutoff(shape: tuple[int, int], largest: float, tol: float = 0.0) -> float:
     """Threshold below which singular values or PSD eigenvalues count as zero."""
-    if not tol >= 0:
+    try:
+        valid = tol >= 0
+    except TypeError:  # a non-numeric tolerance
+        valid = False
+    if not valid:
         raise DomainError(f"tolerance must be nonnegative, got {tol}")
     if tol > 0:
         return tol

@@ -3,22 +3,20 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polarbounds import bounds as bounds_mod
 from polarbounds import matrixcore
 from polarbounds.bounds import (
     BoundKind,
-    SpectralSeparation,
     SymmetricBoundParams,
     WeightedBoundParams,
     midpoint_bounds,
     norm_sum_bound,
     separation_bound,
     spectral_separation,
-    symmetric_bound_params,
     symmetric_bounds,
     symmetric_params_from_spectra,
-    weighted_bound_params,
     weighted_bounds,
     weighted_params_from_spectra,
 )
@@ -30,18 +28,18 @@ from conftest import INTEGER_DTYPES, PROPERTY, complex_gaussian, integer_matrix,
 class TestSpectralSeparation:
     def test_symmetric_pair(self):
         sep = spectral_separation([1.0], [-1.0])
-        assert sep.value == pytest.approx(math.sqrt(2.0))
+        assert sep == pytest.approx(math.sqrt(2.0))
 
     def test_single_pair(self):
         sep = spectral_separation([2.0], [1.0])
-        assert sep.value == pytest.approx(1.0 / math.sqrt(5.0))
+        assert sep == pytest.approx(1.0 / math.sqrt(5.0))
 
     def test_reciprocal_spectrum_coincidence(self):
         # For gamma2 = 1/gamma1 both pairs against omega = 1 give the same
         # value (1 + g) / sqrt(1 + g^2); this is the worked-example setup.
         g = (5.0 - math.sqrt(21.0)) / 2.0
         sep = spectral_separation([1.0, 1.0], [-g, -1.0 / g])
-        assert sep.value == pytest.approx(1.1832159566199232, abs=1e-15)
+        assert sep == pytest.approx(1.1832159566199232, abs=1e-15)
 
     def test_min_over_all_pairs(self):
         sep = spectral_separation([1.0, 10.0], [2.0, -3.0])
@@ -50,7 +48,7 @@ class TestSpectralSeparation:
             for w in (1.0, 10.0)
             for g in (2.0, -3.0)
         )
-        assert sep.value == pytest.approx(expected)
+        assert sep == pytest.approx(expected)
 
     def test_overlap_rejected(self):
         with pytest.raises(SpectralOverlapError):
@@ -63,7 +61,7 @@ class TestSpectralSeparation:
     def test_near_overlap_tolerance(self):
         with pytest.raises(SpectralOverlapError):
             spectral_separation([1.0], [1.0 + 1e-14])
-        assert spectral_separation([1.0], [1.0 + 1e-9]).value > 0.0
+        assert spectral_separation([1.0], [1.0 + 1e-9]) > 0.0
 
     def test_rejects_empty_spectrum(self):
         with pytest.raises(DomainError):
@@ -86,7 +84,7 @@ class TestStackedForms:
                     spectral_separation(wa[row], wb[row])
             else:
                 assert not overlap[row]
-                assert values[row] == spectral_separation(wa[row], wb[row]).value
+                assert values[row] == spectral_separation(wa[row], wb[row])
 
     def test_separations_reject_unpaired_stacks(self):
         with pytest.raises(DomainError):
@@ -97,14 +95,13 @@ class TestStackedForms:
         wa = rng.random((50, 3))
         wb = rng.random((50, 2))
         wa[3, 0] = 0.0  # a zero eigenvalue below the rank cutoff
-        stacked = bounds_mod._stacked_params(wa, wb)
+        weighted, symmetric = bounds_mod._stacked_params(wa, wb)
         for row in range(50):
             w = weighted_params_from_spectra(wa[row], wb[row])
             s = symmetric_params_from_spectra(wa[row], wb[row])
             got = tuple(
-                float(getattr(stacked, k)[row])
-                for k in ("lambda1", "lambda2", "a", "b", "c", "lam", "mu")
-            )
+                float(getattr(weighted, k)[row]) for k in ("lambda1", "lambda2", "a", "b", "c")
+            ) + tuple(float(getattr(symmetric, k)[row]) for k in ("lam", "mu"))
             assert got == (w.lambda1, w.lambda2, w.a, w.b, w.c, s.lam, s.mu)
 
     def test_params_reject_zero_row(self):
@@ -124,17 +121,17 @@ class TestStackedForms:
             D = rng.random((30, 3, 3))
         D[4] = C[4]  # equal data collapses the gap terms
         sep = rng.random(30) + 0.1
-        p = bounds_mod._stacked_params(rng.random((30, 3)), rng.random((30, 3)))
+        p, q = bounds_mod._stacked_params(rng.random((30, 3)), rng.random((30, 3)))
         ub_sep = bounds_mod._separation_uppers(C, D, sep)
         w_lo, w_up = bounds_mod._weighted_enclosures(C, D, p.a, p.b, p.c)
-        s_lo, s_up = bounds_mod._symmetric_enclosures(C, D, p.mu)
+        s_lo, s_up = bounds_mod._symmetric_enclosures(C, D, q.mu)
         for row in range(30):
             c, d = C[row], D[row]
             w = weighted_bounds(
                 c, d, WeightedBoundParams(p.lambda1[row], p.lambda2[row], p.a[row],
                                           p.b[row], p.c[row]))
-            s = symmetric_bounds(c, d, SymmetricBoundParams(p.lam[row], p.mu[row]))
-            assert ub_sep[row] == separation_bound(c, d, SpectralSeparation(sep[row]))
+            s = symmetric_bounds(c, d, SymmetricBoundParams(q.lam[row], q.mu[row]))
+            assert ub_sep[row] == separation_bound(c, d, sep[row])
             assert (w_lo[row], w_up[row]) == (w.lower, w.upper)
             assert (s_lo[row], s_up[row]) == (s.lower, s.upper)
 
@@ -142,12 +139,14 @@ class TestStackedForms:
 class TestCrudeBounds:
     def test_separation_bound_identity_case(self):
         assert separation_bound(
-            np.eye(2), np.zeros((2, 2)), SpectralSeparation(math.sqrt(2.0))
+            np.eye(2), np.zeros((2, 2)), math.sqrt(2.0)
         ) == pytest.approx(1.0)
 
-    def test_separation_bound_rejects_nonpositive(self):
+    @pytest.mark.parametrize("sep", [0.0, -1.0, math.nan, math.inf])
+    def test_separation_bound_rejects_nonpositive(self, sep):
+        # An infinite separation would give the false bound 0 < ||X||_F.
         with pytest.raises(DomainError):
-            separation_bound(np.eye(2), np.eye(2), SpectralSeparation(0.0))
+            separation_bound(np.eye(2), np.eye(2), sep)
 
     def test_norm_sum(self):
         C = np.array([[3.0, 4.0], [0.0, 0.0]])
@@ -160,8 +159,7 @@ class TestCrudeBounds:
         C = 1e200 * np.ones((2, 2))
         expected = math.sqrt(8.0) * 1e200
         assert norm_sum_bound(C, C) == pytest.approx(expected, rel=1e-15)
-        sep = SpectralSeparation(0.5)
-        assert separation_bound(C, C, sep) == pytest.approx(2.0 * expected, rel=1e-15)
+        assert separation_bound(C, C, 0.5) == pytest.approx(2.0 * expected, rel=1e-15)
 
 
 class TestMidpointBounds:
@@ -185,7 +183,7 @@ class TestDataPairValidation:
     one problem, instead of broadcasting or measuring it anyway."""
 
     FORMS = {
-        "separation": lambda C, D: separation_bound(C, D, SpectralSeparation(0.5)),
+        "separation": lambda C, D: separation_bound(C, D, 0.5),
         "norm_sum": norm_sum_bound,
         "midpoint": midpoint_bounds,
         "weighted": lambda C, D: weighted_bounds(
@@ -245,22 +243,6 @@ class TestWeightedBounds:
         with pytest.raises(DomainError):
             weighted_params_from_spectra([0.0, 0.0], [1.0])
 
-    def test_matrix_entry_point_validates(self):
-        with pytest.raises(DomainError):
-            weighted_bound_params(np.diag([1.0, -1.0]), np.eye(2))
-
-    def test_matrix_and_spectra_entry_points_agree(self):
-        rng = np.random.default_rng(404)
-        A = random_psd(rng, 3, 3)
-        B = random_psd(rng, 4, 4)
-        p1 = weighted_bound_params(A, B)
-        p2 = weighted_params_from_spectra(
-            np.linalg.eigvalsh(A), np.linalg.eigvalsh(B)
-        )
-        assert p1.a == pytest.approx(p2.a, rel=1e-12)
-        assert p1.b == pytest.approx(p2.b, rel=1e-12)
-        assert p1.c == pytest.approx(p2.c, rel=1e-10)
-
 
 class TestSymmetricBounds:
     def test_identity_coefficients_collapse(self):
@@ -289,10 +271,6 @@ class TestSymmetricBounds:
             )
             assert p.lam >= 1.0
             assert 0.0 <= p.mu < 1.0
-
-    def test_matrix_entry_point(self):
-        p = symmetric_bound_params(np.eye(2), 4.0 * np.eye(2))
-        assert p.lam == pytest.approx(4.0)
 
 
 class TestEnclosureProperties:
@@ -376,3 +354,31 @@ def five_bounds(C, D, wa, wb):
 @given(integer_bound_data())
 def test_integer_data_give_the_float64_bounds(data):
     assert five_bounds(*data) == five_bounds(*(x.astype(np.float64) for x in data))
+
+
+@st.composite
+def separable_spectra(draw):
+    """Two spectra at scales 1e-150, 1 or 1e150 each; with a gap just wider
+    than the overlap threshold between one pair, when drawn."""
+    entry = st.floats(1.0 / 16.0, 1.0) | st.floats(-1.0, -1.0 / 16.0)
+    omega, gamma = (
+        draw(st.sampled_from([1e-150, 1.0, 1e150]))
+        * draw(hnp.arrays(np.float64, st.integers(1, 4), elements=entry))
+        for _ in range(2)
+    )
+    if draw(st.booleans()):
+        scale = max(np.abs(omega).max(), np.abs(gamma).max())
+        margin = draw(st.floats(1.01, 4.0)) * bounds_mod._OVERLAP_RTOL * scale
+        gamma[0] = omega[0] + draw(st.sampled_from([-1.0, 1.0])) * margin
+    return omega, gamma
+
+
+@PROPERTY
+@given(separable_spectra())
+def test_computed_separation_is_accepted_by_the_bound(spectra):
+    try:
+        sep = spectral_separation(*spectra)
+    except SpectralOverlapError:
+        return
+    assert 0.0 < sep <= math.sqrt(2.0) * (1.0 + 4.0 * np.finfo(float).eps)
+    separation_bound(np.eye(1), np.zeros((1, 1)), sep)

@@ -352,6 +352,8 @@ class TestRunPerturbSweep:
             {"sizes": [2], "epsilons": [0.1], "trials": 1, "seed": -1},
             {"sizes": [2], "epsilons": [math.nan], "trials": 1},
             {"sizes": [2], "epsilons": [math.inf], "trials": 1},
+            {"sizes": [2], "epsilons": ["x"], "trials": 1},
+            {"sizes": [2], "epsilons": [None], "trials": 1},
         ],
     )
     def test_argument_validation(self, kwargs):

@@ -129,7 +129,7 @@ class TestSvd:
         assert matrixcore.svd(M).rank == 2
         assert matrixcore.svd(M, tol=1e-2).rank == 1
 
-    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, "a"])
     def test_negative_tolerance_rejected(self, tol):
         with pytest.raises(DomainError):
             matrixcore.svd(np.eye(2), tol=tol)
