@@ -162,7 +162,8 @@ class TestRunMontecarlo:
             str(tally.alpha), str(tally.beta), str(tally.gamma), str(tally.redraws),
         ]
 
-    def test_redraw_branch_counts(self, monkeypatch):
+    @staticmethod
+    def force_first_attempt_overlap(monkeypatch):
         # The kernel decides overlap for a whole batch of trials per call,
         # so forcing overlap on every odd call forces it on every trial's
         # first attempt.
@@ -177,8 +178,35 @@ class TestRunMontecarlo:
             return values, overlap
 
         monkeypatch.setattr(bounds_mod, "_spectral_separations", flaky)
+
+    def test_redraw_branch_counts(self, monkeypatch):
+        self.force_first_attempt_overlap(monkeypatch)
         tally = run_montecarlo(ExperimentConfig(trials=25))
         assert tally.redraws == 25
+
+    # Exact tallies at the default seed, 2000 trials each, when every trial
+    # is redrawn once: they pin the draws of the substreams
+    # ``(seed, index, 1)``, which no run at GOLDEN reaches.
+    GOLDEN_REDRAWN = {
+        SampleDistribution.UNIFORM_REAL: {
+            ComparisonTest.INDEPENDENT: (2000, 2000, 2000, 2000),
+            ComparisonTest.EQUAL: (2000, 1510, 2000, 2000),
+        },
+        SampleDistribution.COMPLEX_GAUSSIAN: {
+            ComparisonTest.INDEPENDENT: (1393, 2000, 599, 2000),
+            ComparisonTest.EQUAL: (2000, 1509, 2000, 2000),
+        },
+    }
+
+    @pytest.mark.parametrize("dist", list(SampleDistribution))
+    @pytest.mark.parametrize("test", [ComparisonTest.INDEPENDENT, ComparisonTest.EQUAL])
+    def test_golden_redrawn_tallies(self, test, dist, monkeypatch):
+        self.force_first_attempt_overlap(monkeypatch)
+        tally = run_montecarlo(
+            ExperimentConfig(test=test, trials=2000, seed=experiments.DEFAULT_SEED, dist=dist)
+        )
+        got = (tally.alpha, tally.beta, tally.gamma, tally.redraws)
+        assert got == self.GOLDEN_REDRAWN[dist][test]
 
     def test_redraw_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(experiments, "_MAX_REDRAWS", 3)
