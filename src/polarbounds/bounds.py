@@ -170,8 +170,7 @@ def _spectral_separations(omega, gamma) -> tuple[np.ndarray, np.ndarray]:
     np.abs(num, out=num)
     scale = np.maximum(np.abs(w).max(axis=1), np.abs(g).max(axis=1))
     overlap = num.min(axis=(1, 2)) <= _OVERLAP_RTOL * scale
-    den = w[:, :, None] ** 2 + g[:, None, :] ** 2
-    np.sqrt(den, out=den)
+    den = np.hypot(w[:, :, None], g[:, None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.divide(num, den, out=den).min(axis=(1, 2))
     values[overlap] = np.nan

@@ -5,17 +5,22 @@ seed, ``SeedSequence((seed, trial_index))``, so results are identical
 across runs and chunk sizes.
 
 The Monte Carlo driver evaluates one chunk of ``_CHUNK`` trials at a time
-as a batch: each trial still draws from its own substream, then one
-stacked ``eigvalsh``, vectorised separations and bound parameters, and one
-BLAS ``nrm2`` call per matrix give every trial the same floating-point
-values as evaluating it alone.  Chunks run one after another: on 3 x 3
-trials most of the time is substream set-up, which holds the GIL, so a
-thread pool gave no speed-up.
+as a batch.  Each trial still draws from its own substream, but the
+substreams of a whole chunk are derived at once by the private
+``_substreams`` module: uniform draws are computed there outright, and
+Gaussian draws come from numpy's own ziggurat on one generator set to each
+trial's state in turn.  On first use the batch draws are checked against
+numpy's generator on one key, and on a mismatch every trial is drawn from
+its own ``default_rng`` instead.  One stacked ``eigvalsh``, vectorised
+separations and bound parameters, and one BLAS ``nrm2`` call per matrix
+then give every trial the same floating-point values as evaluating it
+alone.  Chunks run one after another in the calling thread.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import operator
 from dataclasses import astuple, dataclass
@@ -23,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import bounds, matrixcore, perturb, sylvester
+from . import _substreams, bounds, matrixcore, perturb, sylvester
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
@@ -239,6 +244,45 @@ def _gram(M: np.ndarray) -> np.ndarray:
     return M.conj().mT @ M
 
 
+def _draw_each(
+    seed: int, indices: np.ndarray, attempt: int, shape: tuple, dist: SampleDistribution
+) -> np.ndarray:
+    """The draws of each trial, row by row, from its own generator: the
+    reference for :func:`_draw_batch`."""
+    raw = np.empty(shape)
+    for row, index in zip(raw, indices.tolist()):
+        key = _substreams.key(seed, index, attempt)
+        _fill(np.random.default_rng(np.random.SeedSequence(key)), row, dist)
+    return raw
+
+
+def _draw_batch(
+    seed: int, indices: np.ndarray, attempt: int, shape: tuple, dist: SampleDistribution
+) -> np.ndarray:
+    """:func:`_draw_each` with every trial's substream derived at once.
+
+    Uniform draws are computed outright; Gaussian draws come from numpy's
+    ziggurat on one generator set to each trial's derived state.
+    """
+    if dist is SampleDistribution.UNIFORM_REAL:
+        count = math.prod(shape[1:])
+        return _substreams.uniforms(seed, indices, attempt, count).reshape(shape)
+    raw = np.empty(shape)
+    for row, rng in zip(raw, _substreams.generators(seed, indices, attempt)):
+        _fill(rng, row, dist)
+    return raw
+
+
+@functools.cache
+def _batch_draws_match(dist: SampleDistribution) -> bool:
+    """Whether :func:`_draw_batch` reproduces numpy's own generator on one
+    redrawn trial; decided once per process, and the kernel falls back to
+    :func:`_draw_each` when it does not."""
+    shape = (1,) + _raw_shape(ComparisonTest.INDEPENDENT, 3, dist)
+    args = (DEFAULT_SEED, np.array([1]), 1, shape, dist)
+    return np.array_equal(_draw_batch(*args), _draw_each(*args))
+
+
 def _attempt(
     seed: int, indices: np.ndarray, attempt: int, test: ComparisonTest, n: int,
     dist: SampleDistribution,
@@ -248,11 +292,9 @@ def _attempt(
     Returns the spectra of `A` and `B`, `C`, `D`, the separation of the
     spectra of `A` and `-B`, and whether those spectra overlap.
     """
-    raw = np.empty((indices.size,) + _raw_shape(test, n, dist))
-    for row, index in enumerate(indices.tolist()):
-        key = (seed, index) if attempt == 0 else (seed, index, attempt)
-        _fill(np.random.default_rng(np.random.SeedSequence(key)), raw[row], dist)
-    A1, B1, C, D = _split(raw, test, dist)
+    shape = (indices.size,) + _raw_shape(test, n, dist)
+    draw = _draw_batch if _batch_draws_match(dist) else _draw_each
+    A1, B1, C, D = _split(draw(seed, indices, attempt, shape, dist), test, dist)
     wa = np.linalg.eigvalsh(_gram(A1))
     wb = np.linalg.eigvalsh(_gram(B1))
     sep, overlap = bounds._spectral_separations(wa, -wb)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ class TestSpectralSeparation:
             for g in (2.0, -3.0)
         )
         assert sep == pytest.approx(expected)
+
+    @pytest.mark.parametrize(
+        "omega, gamma, expected",
+        [(1e200, -1e-200, 1.0), (1e-170, -1e-170, math.sqrt(2.0))],
+    )
+    def test_no_overflow_or_underflow_at_extreme_scales(self, omega, gamma, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral_separation([omega], [gamma]) == expected
 
     def test_overlap_rejected(self):
         with pytest.raises(SpectralOverlapError):
@@ -358,11 +368,11 @@ def test_integer_data_give_the_float64_bounds(data):
 
 @st.composite
 def separable_spectra(draw):
-    """Two spectra at scales 1e-150, 1 or 1e150 each; with a gap just wider
-    than the overlap threshold between one pair, when drawn."""
+    """Two spectra at scales from 1e-300 to 1e300 each; with a gap just
+    wider than the overlap threshold between one pair, when drawn."""
     entry = st.floats(1.0 / 16.0, 1.0) | st.floats(-1.0, -1.0 / 16.0)
     omega, gamma = (
-        draw(st.sampled_from([1e-150, 1.0, 1e150]))
+        draw(st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]))
         * draw(hnp.arrays(np.float64, st.integers(1, 4), elements=entry))
         for _ in range(2)
     )
