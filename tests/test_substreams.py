@@ -27,7 +27,7 @@ def reference(seed, index, attempt):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_uniforms_equal_numpy(seed, attempt):
     got = _substreams.uniforms(seed, INDICES, attempt, 36)
-    for row, index in zip(got, INDICES.tolist()):
+    for row, index in zip(got, INDICES.tolist(), strict=True):
         assert np.array_equal(row, reference(seed, index, attempt).random(36))
 
 
