@@ -11,6 +11,7 @@ import pytest
 
 import polarbounds
 from polarbounds import matrixcore
+from polarbounds import cli
 from polarbounds.cli import main
 
 
@@ -206,6 +207,110 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert "FAILS" in captured.out
         assert "error:" in captured.err
+
+
+_HOLDS = (
+    "hypotheses: pinv(A)AC=C holds, DBpinv(B)=D holds, "
+    "CBpinv(B)=C holds, pinv(A)AD=D holds\n"
+)
+
+
+class TestSolveGolden:
+    """Whole standard output of `solve`, pinned byte for byte."""
+
+    def test_real_full_rank(self, tmp_path, capsys):
+        A = [[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]
+        B = [[2.0, 0.5], [0.5, 1.0]]
+        C = [[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]]
+        D = [[2.0, 1.0], [-1.5, 0.0], [4.0, -3.0]]
+        assert main(solve_args(tmp_path, A, B, C, D)) == 0
+        assert capsys.readouterr().out == _HOLDS + (
+            "X =\n"
+            "  1.797105291  -1.2007365\n"
+            "  -1.182263497  2.105129853\n"
+            "  1.56164727  -0.1286511625\n"
+            "scaled residual 4.090e-16\n"
+            "||X||_F = 3.599439895\n"
+            "separation upper bound  5.989166694\n"
+            "norm-sum upper bound    6.896557112\n"
+            "midpoint enclosure      [-0.8029603106, 6.849653622]\n"
+            "weighted enclosure      [0.2115363888, 5.51778301]\n"
+            "symmetric enclosure     [-0.2075089208, 6.254202232]\n"
+        )
+
+    def test_complex_rank_deficient_overlapping_spectra(self, tmp_path, capsys):
+        # A and B are singular, so the spectra of A and -B share 0; C and D
+        # lie in the ranges, so the structured hypotheses hold.
+        A = np.array([[1, 1j, 0], [-1j, 1, 0], [0, 0, 2]])
+        B = np.array([[1, 1 + 1j], [1 - 1j, 2]])
+        Y = np.array([[1 + 2j, -1], [3j, 2 - 1j], [1, 1j]])
+        Z = np.array([[2, 1j], [-1 + 1j, 1], [0, 3]])
+        assert main(solve_args(tmp_path, A, B, A @ Y @ B, A @ Z @ B)) == 0
+        assert capsys.readouterr().out == _HOLDS + (
+            "X =\n"
+            "  1.8+2.2j  -0.4+4j\n"
+            "  2.2-1.8j  4+0.4j\n"
+            "  5.2-2.8j  8+2.4j\n"
+            "scaled residual 4.460e-16\n"
+            "||X||_F = 12.37416664\n"
+            "separation upper bound  undefined (spectra of A and -B overlap)\n"
+            "norm-sum upper bound    20.78460969\n"
+            "midpoint enclosure      [2.915579258, 20.57910099]\n"
+            "weighted enclosure      [12.37416664, 12.37416664]\n"
+            "symmetric enclosure     [7.797656593, 15.69702366]\n"
+        )
+
+    def test_one_by_one(self, tmp_path, capsys):
+        # X = (A C + D B) / (A + B) = 17 / 5.
+        assert main(solve_args(tmp_path, [[2.0]], [[3.0]], [[1.0]], [[5.0]])) == 0
+        assert capsys.readouterr().out == _HOLDS + (
+            "X =\n"
+            "  3.4\n"
+            "scaled residual 0.000e+00\n"
+            "||X||_F = 3.4\n"
+            "separation upper bound  3.676955262\n"
+            "norm-sum upper bound    5.099019514\n"
+            "midpoint enclosure      [1, 5]\n"
+            "weighted enclosure      [3.4, 3.4]\n"
+            "symmetric enclosure     [2.105572809, 3.894427191]\n"
+        )
+
+
+class TestPrintMatrix:
+    """Every printed entry reads as ``format(value, ".10g")``."""
+
+    @staticmethod
+    def expected(M):
+        return "X =\n" + "".join(
+            "  " + "  ".join(format(v, ".10g") for v in row) + "\n" for row in M
+        )
+
+    def test_complex_edge_values(self, capsys):
+        M = np.array(
+            [[complex(-0.0, -0.0), complex(0.0, -0.0), 1e-300 + 1e300j],
+             [-1.5 + 0j, 1 / 3 - 2e-7j, complex(-5e-324, 1.7976931348623157e308)]]
+        )
+        cli._print_matrix("X =", M)
+        out = capsys.readouterr().out
+        assert out == self.expected(M.tolist())
+        assert out.splitlines()[1] == "  -0-0j  0-0j  1e-300+1e+300j"
+
+    def test_real_edge_values(self, capsys):
+        M = np.array(
+            [[-0.0, 5e-324, 1.7976931348623157e308],
+             [-1.5, 1 / 3, 123456789012.0]], dtype=np.complex128
+        )
+        cli._print_matrix("X =", M)
+        out = capsys.readouterr().out
+        assert out == self.expected(M.real.tolist())
+        assert out.splitlines()[1:] == [
+            "  -0  4.940656458e-324  1.797693135e+308",
+            "  -1.5  0.3333333333  1.23456789e+11",
+        ]
+
+    def test_real_array(self, capsys):
+        cli._print_matrix("X =", np.array([[2.0, -0.0]]))
+        assert capsys.readouterr().out == "X =\n  2  -0\n"
 
 
 class TestEntryPoint:

@@ -262,22 +262,76 @@ class TestMatrixTextFormat:
         assert lines[1].split() == ["1.0", "0.0", "0.0", "0.0"]
 
     @pytest.mark.parametrize(
-        "content",
+        "content, message",
         [
-            "",
-            "2\n1 0\n",
-            "x 2\n",
-            "0 2\n",
-            "2 2\n1 0 0 0\n",
-            "2 1\n1 0\n2 0\n3 0\n",
-            "1 1\n1 0 extra stuff\n",
-            "1 1\nnot 0\n",
-            "1 1\nnan 0\n",
-            "1 1\ninf 0\n",
+            ("", "empty matrix file"),
+            ("\n  \n", "empty matrix file"),
+            ("2\n1 0\n", "header must be 'rows cols', got '2'"),
+            ("x 2\n", "non-integer header 'x 2'"),
+            ("0 2\n", "dimensions must be positive, got 0 x 2"),
+            ("2 2\n1 0 0 0\n", "expected 2 data rows, found 1"),
+            ("2 1\n1 0\n2 0\n3 0\n", "expected 2 data rows, found 3"),
+            ("1 1\n1 0 extra stuff\n", "row 1 has 4 values, expected 2"),
+            ("2 1\n1 0\n1 0 0\n", "row 2 has 3 values, expected 2"),
+            ("1 1\nnot 0\n", "row 1 has a non-numeric value"),
+            ("2 1\n1 0\n1 0x10\n", "row 2 has a non-numeric value"),
+            ("2 1\n1 0\n\n1 1,5\n", "row 2 has a non-numeric value"),
+            ("1 1\nnan 0\n", "row 1 has a non-finite value"),
+            ("1 1\ninf 0\n", "row 1 has a non-finite value"),
+            ("2 1\n1 0\n0 -inf\n", "row 2 has a non-finite value"),
+            ("2 1\n1 0\n1e400 0\n", "row 2 has a non-finite value"),
+            # The first faulty row decides, whatever its fault.
+            ("3 1\n1 0\ninf 0\nx 0\n", "row 2 has a non-finite value"),
+            ("3 1\n1 0\n0 nan\n1 0 0\n", "row 2 has a non-finite value"),
+            ("3 1\n1 0\nx 0\ninf 0\n", "row 2 has a non-numeric value"),
+            ("3 1\n1 0 0\n1 x\ninf 0\n", "row 1 has 3 values, expected 2"),
         ],
     )
-    def test_malformed_rejected(self, tmp_path, content):
+    def test_malformed_rejected(self, tmp_path, content, message):
         path = tmp_path / "bad.txt"
         path.write_text(content)
-        with pytest.raises(MatrixFormatError):
+        with pytest.raises(MatrixFormatError) as exc:
             matrixcore.read_matrix(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_edge_inputs_accepted(self, tmp_path):
+        # Values are read as Python's float() reads them: underscores
+        # between digits, a signed zero, the smallest subnormal and the
+        # largest double; blank lines and tabs separate nothing.
+        path = tmp_path / "m.txt"
+        path.write_text(
+            "\n2\t2\n\n1_0 -0.0\t5e-324 0\n"
+            "  \n-1.7976931348623157e308\t1.7976931348623157e308  -0 2.5\n\n"
+        )
+        M = matrixcore.read_matrix(path)
+        assert M.dtype == np.complex128 and M.shape == (2, 2)
+        want = np.array(
+            [[10.0, -0.0, 5e-324, 0.0],
+             [-1.7976931348623157e308, 1.7976931348623157e308, -0.0, 2.5]]
+        )
+        assert M.view(np.float64).tobytes() == want.tobytes()
+
+    def test_write_edge_values(self, tmp_path):
+        path = tmp_path / "m.txt"
+        M = np.array([[-0.0, 5e-324 - 1e308j], [1.7976931348623157e308j, 1 / 3]])
+        matrixcore.write_matrix(M, path)
+        assert path.read_text() == (
+            "2 2\n"
+            "-0.0 0.0 5e-324 -1e+308\n"
+            "0.0 1.7976931348623157e+308 0.3333333333333333 0.0\n"
+        )
+        back = matrixcore.read_matrix(path)
+        assert back.tobytes() == M.astype(np.complex128).tobytes()
+
+    @pytest.mark.parametrize(
+        "M, text",
+        [
+            (np.array([[1, -2], [3, 4]]), "2 2\n1.0 0.0 -2.0 0.0\n3.0 0.0 4.0 0.0\n"),
+            ([[0.1, -0.0]], "1 2\n0.1 0.0 -0.0 0.0\n"),
+            (np.array([[1e-310 + 2j]], dtype=np.complex64), "1 1\n0.0 2.0\n"),
+        ],
+    )
+    def test_write_layout(self, tmp_path, M, text):
+        path = tmp_path / "m.txt"
+        matrixcore.write_matrix(M, path)
+        assert path.read_text() == text
