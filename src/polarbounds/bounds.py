@@ -119,6 +119,15 @@ def _pair(C, D) -> tuple[np.ndarray, np.ndarray]:
     return C[None], D[None]
 
 
+def _one_enclosure(kind: BoundKind, C, D, *coefficients) -> BoundPair:
+    """The enclosure of `kind` for one pair, as the one-row stacked form."""
+    C, D = _pair(C, D)
+    stacked = _weighted_enclosures if kind is BoundKind.WEIGHTED else _symmetric_enclosures
+    diff = matrixcore._frobenius_norms(C - D)
+    lower, upper = stacked(C, D, diff, *(np.array([v]) for v in coefficients))
+    return BoundPair(lower=float(lower[0]), upper=float(upper[0]), kind=kind)
+
+
 def spectral_separation(omega, gamma) -> float:
     """Scale-free minimum separation between two real spectra.
 
@@ -206,8 +215,7 @@ def norm_sum_bound(C, D) -> float:
 def midpoint_bounds(C, D) -> BoundPair:
     """Enclosure ``(||C + D||_F -+ ||C - D||_F) / 2``, the symmetric
     enclosure at ``mu = 1``."""
-    lower, upper = _symmetric_enclosures(*_pair(C, D), np.array([1.0]))
-    return BoundPair(lower=float(lower[0]), upper=float(upper[0]), kind=BoundKind.MIDPOINT)
+    return _one_enclosure(BoundKind.MIDPOINT, C, D, 1.0)
 
 
 def _positive_extremes(w: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -267,18 +275,14 @@ def weighted_bounds(C, D, params: WeightedBoundParams) -> BoundPair:
     Exact on both sides when ``C == D`` and when `A` and `B` are positive
     scalar matrices, where ``c == 0`` collapses the enclosure to a point.
     """
-    lower, upper = _weighted_enclosures(
-        *_pair(C, D),
-        np.array([params.a]), np.array([params.b]), np.array([params.c]),
-    )
-    return BoundPair(lower=float(lower[0]), upper=float(upper[0]), kind=BoundKind.WEIGHTED)
+    return _one_enclosure(BoundKind.WEIGHTED, C, D, params.a, params.b, params.c)
 
 
-def _weighted_enclosures(C, D, a, b, c) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`weighted_bounds` over stacks ``C[i]``, ``D[i]`` and
-    coefficients ``a[i]``, ``b[i]``, ``c[i]``; returns lower and upper."""
+def _weighted_enclosures(C, D, diff, a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise (lower, upper) of :func:`weighted_bounds` over stacks ``C[i]``,
+    ``D[i]``, ``diff[i] = ||C[i] - D[i]||_F`` and ``a[i]``, ``b[i]``, ``c[i]``."""
     blend = matrixcore._frobenius_norms(a[:, None, None] * C + b[:, None, None] * D)
-    gap = c * matrixcore._frobenius_norms(C - D)
+    gap = c * diff
     s = a + b
     return (blend - gap) / s, (blend + gap) / s
 
@@ -293,13 +297,12 @@ def symmetric_bounds(C, D, params: SymmetricBoundParams) -> BoundPair:
 
     Always at least as tight as the midpoint enclosure on both sides.
     """
-    lower, upper = _symmetric_enclosures(*_pair(C, D), np.array([params.mu]))
-    return BoundPair(lower=float(lower[0]), upper=float(upper[0]), kind=BoundKind.SYMMETRIC)
+    return _one_enclosure(BoundKind.SYMMETRIC, C, D, params.mu)
 
 
-def _symmetric_enclosures(C, D, mu) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`symmetric_bounds` over stacks ``C[i]``, ``D[i]`` and
-    weights ``mu[i]``; returns lower and upper."""
+def _symmetric_enclosures(C, D, diff, mu) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise (lower, upper) of :func:`symmetric_bounds` over stacks ``C[i]``,
+    ``D[i]``, ``diff[i] = ||C[i] - D[i]||_F`` and weights ``mu[i]``."""
     s = matrixcore._frobenius_norms(C + D)
-    gap = mu * matrixcore._frobenius_norms(C - D)
+    gap = mu * diff
     return (s - gap) / 2.0, (s + gap) / 2.0

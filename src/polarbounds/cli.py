@@ -193,20 +193,19 @@ def _cmd_perturb_sweep(args: argparse.Namespace) -> int:
 
 
 def _print_matrix(name: str, M: np.ndarray) -> None:
-    print(name)
-    # Imaginary parts count as round-off relative to the largest entry, so
-    # a matrix of small complex entries still prints them.
+    # Imaginary parts count as round-off relative to the largest entry, so a
+    # small complex matrix still prints them; each cell is format(v, ".10g").
     if np.abs(M.imag).max() <= 1e-8 * np.abs(M).max():
-        M = M.real
-    for row in np.atleast_2d(M):
-        print("  " + "  ".join(f"{value:.10g}" for value in row))
+        rows, cell = M.real.tolist(), "%.10g"
+    else:
+        rows, cell = M.astype(np.complex128).view(np.float64).tolist(), "%.10g%+.10gj"
+    row_format = "  " + "  ".join([cell] * M.shape[1])
+    print(name, *(row_format % tuple(row) for row in rows), sep="\n")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    A = matrixcore.read_matrix(args.a_path)
-    B = matrixcore.read_matrix(args.b_path)
-    C = matrixcore.read_matrix(args.c_path)
-    D = matrixcore.read_matrix(args.d_path)
+    paths = (args.a_path, args.b_path, args.c_path, args.d_path)
+    A, B, C, D = map(matrixcore.read_matrix, paths)
     m, n = A.shape[0], B.shape[0]
     shape_problems = []
     if A.shape[0] != A.shape[1]:
@@ -253,10 +252,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MatrixFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, NumericalError) as exc:

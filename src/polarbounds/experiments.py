@@ -327,8 +327,9 @@ def _tally_range(
         )
     weighted, symmetric = bounds._stacked_params(wa, wb)
     ub_separation = bounds._separation_uppers(C, D, sep)
-    _, ub_weighted = bounds._weighted_enclosures(C, D, weighted.a, weighted.b, weighted.c)
-    _, ub_symmetric = bounds._symmetric_enclosures(C, D, symmetric.mu)
+    diff = matrixcore._frobenius_norms(C - D)
+    _, ub_weighted = bounds._weighted_enclosures(C, D, diff, weighted.a, weighted.b, weighted.c)
+    _, ub_symmetric = bounds._symmetric_enclosures(C, D, diff, symmetric.mu)
     return (
         int(np.count_nonzero(ub_weighted <= ub_separation)),
         int(np.count_nonzero(ub_weighted <= ub_symmetric)),

@@ -77,13 +77,12 @@ def rank_cutoff(shape: tuple[int, int], largest: float, tol: float = 0.0) -> flo
 
 
 def frobenius_norm(M) -> float:
-    """Frobenius norm of a matrix.
+    """Frobenius norm of a matrix: one BLAS ``nrm2`` call over its entries.
 
-    Accumulated entry by entry with the scaled BLAS ``nrm2`` kernel rather
-    than ``sqrt(sum(|m_ij|^2))``.  The sequential scaled accumulation cannot
-    overflow and, unlike pairwise summation, rounds two rearrangements of
-    the same multiset of entries identically, so bound formulas that agree
-    in exact arithmetic stay consistent under comparison.  A NaN or inf
+    The OpenBLAS in scipy's x86-64 wheels (its SkylakeX kernels) sums the
+    unscaled squares in x87 80-bit precision into four interleaved partial
+    sums, so no finite entries overflow or underflow the sum, but two orders
+    of the same entries (a transpose, say) can round differently.  A NaN or inf
     entry raises `DomainError`; a norm beyond the largest double gives inf.
     """
     if not (
@@ -108,8 +107,7 @@ def _nrm2(M: np.ndarray) -> float:
 
 
 def _frobenius_norms(M: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix ``M[i]`` of a 3-D float64 or complex128
-    stack.
+    """Frobenius norm of each matrix ``M[i]`` of a 3-D float64 or complex128 stack.
 
     One call of the same ``nrm2`` kernel as :func:`frobenius_norm` per
     matrix, on the same entries in the same order, so each norm equals
@@ -253,12 +251,10 @@ def write_matrix(M, path) -> None:
     same double, so write followed by read is exact.
     """
     M = as_matrix(M)
-    rows, cols = M.shape
+    parts = M.astype(np.complex128).view(np.float64).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{rows} {cols}\n")
-        for row in M:
-            fh.write(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row))
-            fh.write("\n")
+        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in parts)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -285,18 +281,22 @@ def read_matrix(path) -> np.ndarray:
         raise MatrixFormatError(f"{path}: dimensions must be positive, got {rows} x {cols}")
     if len(lines) - 1 != rows:
         raise MatrixFormatError(f"{path}: expected {rows} data rows, found {len(lines) - 1}")
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i, line in enumerate(lines[1:]):
-        parts = line.split()
+    # Real and imaginary parts interleaved; numpy reads each with float().
+    out = np.empty((rows, 2 * cols), dtype=np.float64)
+    bad, problem = rows, None
+    for i, parts in enumerate(line.split() for line in lines[1:]):
         if len(parts) != 2 * cols:
-            raise MatrixFormatError(
-                f"{path}: row {i + 1} has {len(parts)} values, expected {2 * cols}"
-            )
+            bad, problem = i, f"has {len(parts)} values, expected {2 * cols}"
+            break
         try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise MatrixFormatError(f"{path}: row {i + 1} has a non-numeric value") from exc
-        if not all(np.isfinite(vals)):
-            raise MatrixFormatError(f"{path}: row {i + 1} has a non-finite value")
-        out[i] = [complex(re, im) for re, im in zip(vals[::2], vals[1::2])]
-    return out
+            out[i] = parts
+        except ValueError:
+            bad, problem = i, "has a non-numeric value"
+            break
+    # A non-finite value in an earlier row is reported first.
+    finite = np.isfinite(out[:bad]).all(axis=1)
+    if not finite.all():
+        bad, problem = int(np.argmin(finite)), "has a non-finite value"
+    if problem:
+        raise MatrixFormatError(f"{path}: row {bad + 1} {problem}")
+    return out.view(np.complex128)

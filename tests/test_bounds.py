@@ -133,8 +133,9 @@ class TestStackedForms:
         sep = rng.random(30) + 0.1
         p, q = bounds_mod._stacked_params(rng.random((30, 3)), rng.random((30, 3)))
         ub_sep = bounds_mod._separation_uppers(C, D, sep)
-        w_lo, w_up = bounds_mod._weighted_enclosures(C, D, p.a, p.b, p.c)
-        s_lo, s_up = bounds_mod._symmetric_enclosures(C, D, q.mu)
+        diff = matrixcore._frobenius_norms(C - D)
+        w_lo, w_up = bounds_mod._weighted_enclosures(C, D, diff, p.a, p.b, p.c)
+        s_lo, s_up = bounds_mod._symmetric_enclosures(C, D, diff, q.mu)
         for row in range(30):
             c, d = C[row], D[row]
             w = weighted_bounds(
