@@ -196,11 +196,11 @@ def _print_matrix(name: str, M: np.ndarray) -> None:
     # Imaginary parts count as round-off relative to the largest entry, so a
     # small complex matrix still prints them; each cell is format(v, ".10g").
     if np.abs(M.imag).max() <= 1e-8 * np.abs(M).max():
-        rows, cell = M.real.tolist(), "%.10g"
+        rows, cell = M.real, "%.10g"
     else:
-        rows, cell = M.astype(np.complex128).view(np.float64).tolist(), "%.10g%+.10gj"
+        rows, cell = np.ascontiguousarray(M, np.complex128).view(np.float64), "%.10g%+.10gj"
     row_format = "  " + "  ".join([cell] * M.shape[1])
-    print(name, *(row_format % tuple(row) for row in rows), sep="\n")
+    print(name, *(row_format % tuple(row.tolist()) for row in rows), sep="\n")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

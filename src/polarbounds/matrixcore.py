@@ -251,7 +251,7 @@ def write_matrix(M, path) -> None:
     same double, so write followed by read is exact.
     """
     M = as_matrix(M)
-    parts = M.astype(np.complex128).view(np.float64).tolist()
+    parts = np.ascontiguousarray(M, dtype=np.complex128).view(np.float64).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
         fh.writelines(" ".join(map(repr, row)) + "\n" for row in parts)

@@ -308,6 +308,12 @@ class TestPrintMatrix:
             "  -1.5  0.3333333333  1.23456789e+11",
         ]
 
+    def test_non_contiguous_complex(self, capsys):
+        M = np.array([[1 + 2j, -3j], [0.5, 4 - 1j]]).T
+        cli._print_matrix("X =", M)
+        # The literal -3j is complex(-0.0, -3.0).
+        assert capsys.readouterr().out == "X =\n  1+2j  0.5+0j\n  -0-3j  4-1j\n"
+
     def test_real_array(self, capsys):
         cli._print_matrix("X =", np.array([[2.0, -0.0]]))
         assert capsys.readouterr().out == "X =\n  2  -0\n"

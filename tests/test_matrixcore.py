@@ -329,6 +329,10 @@ class TestMatrixTextFormat:
             (np.array([[1, -2], [3, 4]]), "2 2\n1.0 0.0 -2.0 0.0\n3.0 0.0 4.0 0.0\n"),
             ([[0.1, -0.0]], "1 2\n0.1 0.0 -0.0 0.0\n"),
             (np.array([[1e-310 + 2j]], dtype=np.complex64), "1 1\n0.0 2.0\n"),
+            # Non-contiguous input, real and complex.
+            (np.array([[1.0, 2.0], [3.0, 4.0]]).T, "2 2\n1.0 0.0 3.0 0.0\n2.0 0.0 4.0 0.0\n"),
+            (np.array([[1j, 2.0], [3.0, -4j]]).T[:, ::-1],
+             "2 2\n3.0 0.0 0.0 1.0\n-0.0 -4.0 2.0 0.0\n"),  # -4j is -0.0 - 4.0j
         ],
     )
     def test_write_layout(self, tmp_path, M, text):
