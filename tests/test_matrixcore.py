@@ -235,6 +235,32 @@ class TestRangeProjector:
             assert np.trace(P).real == pytest.approx(r, abs=1e-9)
 
 
+# Malformed matrix files and the message each must raise, after the path.
+_MALFORMED = [
+    ("", "empty matrix file"),
+    ("\n  \n", "empty matrix file"),
+    ("2\n1 0\n", "header must be 'rows cols', got '2'"),
+    ("x 2\n", "non-integer header 'x 2'"),
+    ("0 2\n", "dimensions must be positive, got 0 x 2"),
+    ("2 2\n1 0 0 0\n", "expected 2 data rows, found 1"),
+    ("2 1\n1 0\n2 0\n3 0\n", "expected 2 data rows, found 3"),
+    ("1 1\n1 0 extra stuff\n", "row 1 has 4 values, expected 2"),
+    ("2 1\n1 0\n1 0 0\n", "row 2 has 3 values, expected 2"),
+    ("1 1\nnot 0\n", "row 1 has a non-numeric value"),
+    ("2 1\n1 0\n1 0x10\n", "row 2 has a non-numeric value"),
+    ("2 1\n1 0\n\n1 1,5\n", "row 2 has a non-numeric value"),
+    ("1 1\nnan 0\n", "row 1 has a non-finite value"),
+    ("1 1\ninf 0\n", "row 1 has a non-finite value"),
+    ("2 1\n1 0\n0 -inf\n", "row 2 has a non-finite value"),
+    ("2 1\n1 0\n1e400 0\n", "row 2 has a non-finite value"),
+    # The first faulty row decides, whatever its fault.
+    ("3 1\n1 0\ninf 0\nx 0\n", "row 2 has a non-finite value"),
+    ("3 1\n1 0\n0 nan\n1 0 0\n", "row 2 has a non-finite value"),
+    ("3 1\n1 0\nx 0\ninf 0\n", "row 2 has a non-numeric value"),
+    ("3 1\n1 0 0\n1 x\ninf 0\n", "row 1 has 3 values, expected 2"),
+]
+
+
 class TestMatrixTextFormat:
     def test_round_trip_real(self, tmp_path):
         rng = np.random.default_rng(113)
@@ -261,32 +287,8 @@ class TestMatrixTextFormat:
         assert lines[0] == "2 2"
         assert lines[1].split() == ["1.0", "0.0", "0.0", "0.0"]
 
-    @pytest.mark.parametrize(
-        "content, message",
-        [
-            ("", "empty matrix file"),
-            ("\n  \n", "empty matrix file"),
-            ("2\n1 0\n", "header must be 'rows cols', got '2'"),
-            ("x 2\n", "non-integer header 'x 2'"),
-            ("0 2\n", "dimensions must be positive, got 0 x 2"),
-            ("2 2\n1 0 0 0\n", "expected 2 data rows, found 1"),
-            ("2 1\n1 0\n2 0\n3 0\n", "expected 2 data rows, found 3"),
-            ("1 1\n1 0 extra stuff\n", "row 1 has 4 values, expected 2"),
-            ("2 1\n1 0\n1 0 0\n", "row 2 has 3 values, expected 2"),
-            ("1 1\nnot 0\n", "row 1 has a non-numeric value"),
-            ("2 1\n1 0\n1 0x10\n", "row 2 has a non-numeric value"),
-            ("2 1\n1 0\n\n1 1,5\n", "row 2 has a non-numeric value"),
-            ("1 1\nnan 0\n", "row 1 has a non-finite value"),
-            ("1 1\ninf 0\n", "row 1 has a non-finite value"),
-            ("2 1\n1 0\n0 -inf\n", "row 2 has a non-finite value"),
-            ("2 1\n1 0\n1e400 0\n", "row 2 has a non-finite value"),
-            # The first faulty row decides, whatever its fault.
-            ("3 1\n1 0\ninf 0\nx 0\n", "row 2 has a non-finite value"),
-            ("3 1\n1 0\n0 nan\n1 0 0\n", "row 2 has a non-finite value"),
-            ("3 1\n1 0\nx 0\ninf 0\n", "row 2 has a non-numeric value"),
-            ("3 1\n1 0 0\n1 x\ninf 0\n", "row 1 has 3 values, expected 2"),
-        ],
-    )
+    # Each case keeps its file content as its id.
+    @pytest.mark.parametrize("content, message", _MALFORMED, ids=[c for c, _ in _MALFORMED])
     def test_malformed_rejected(self, tmp_path, content, message):
         path = tmp_path / "bad.txt"
         path.write_text(content)
