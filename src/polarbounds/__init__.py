@@ -45,10 +45,7 @@ from .matrixcore import (
     SvdFactors,
     frobenius_norm,
     pinv,
-    psd_sqrt,
-    range_projector,
     read_matrix,
-    spectral_norm,
     svd,
     write_matrix,
 )
@@ -112,9 +109,7 @@ __all__ = [
     "norm_sum_bound",
     "pinv",
     "psd_factor_bound",
-    "psd_sqrt",
     "psd_terms",
-    "range_projector",
     "read_matrix",
     "run_example",
     "run_montecarlo",
@@ -122,7 +117,6 @@ __all__ = [
     "separation_bound",
     "solve_general_hermitian",
     "solve_structured",
-    "spectral_norm",
     "spectral_separation",
     "splitting_identity_residual",
     "structured_problem",

@@ -443,7 +443,8 @@ def _check_sweep_row(row: SweepRow) -> None:
         ("gamma_bound_11 <= hmz_bound", row.psd_at_identity, row.hong_meng_zheng),
     ]
     for label, left, right in checks:
-        if left > right + 1e-9 * (1.0 + abs(right)):
+        # Written so that a NaN on either side fails.
+        if not left <= right + 1e-9 * (1.0 + abs(right)):
             raise NumericalError(
                 f"sweep row size={row.size} rank={row.rank} "
                 f"epsilon={row.epsilon} trial={row.trial} violates {label}: "

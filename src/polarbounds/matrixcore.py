@@ -1,8 +1,8 @@
 """Dense matrix primitives shared by the decompositions and bounds.
 
 Everything operates on 2-D real or complex arrays in double precision.
-Rank decisions follow one convention throughout: an explicit positive
-caller tolerance wins, otherwise ``max(m, n) * eps * sigma_max``.
+Rank decisions follow one fixed rule throughout: a singular value or PSD
+eigenvalue counts as zero at or below ``max(m, n) * eps * sigma_max``.
 """
 
 from __future__ import annotations
@@ -18,12 +18,9 @@ from .exceptions import DomainError, MatrixFormatError, NumericalError
 __all__ = [
     "SvdFactors",
     "frobenius_norm",
-    "spectral_norm",
     "svd",
     "pinv",
     "psd_eigh",
-    "psd_sqrt",
-    "range_projector",
     "read_matrix",
     "write_matrix",
 ]
@@ -63,16 +60,8 @@ def require_hermitian(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return (M + M.conj().T) / 2
 
 
-def rank_cutoff(shape: tuple[int, int], largest: float, tol: float = 0.0) -> float:
-    """Threshold below which singular values or PSD eigenvalues count as zero."""
-    try:
-        valid = tol >= 0
-    except TypeError:  # a non-numeric tolerance
-        valid = False
-    if not valid:
-        raise DomainError(f"tolerance must be nonnegative, got {tol}")
-    if tol > 0:
-        return tol
+def rank_cutoff(shape: tuple[int, int], largest: float) -> float:
+    """Threshold at or below which singular values or PSD eigenvalues count as zero."""
     return max(shape) * _EPS * largest
 
 
@@ -125,23 +114,13 @@ def _frobenius_norms(M: np.ndarray) -> np.ndarray:
     return np.fromiter(map(nrm2, rows), dtype=np.float64, count=rows.shape[0])
 
 
-def spectral_norm(M) -> float:
-    """Largest singular value of `M`."""
-    M = as_matrix(M)
-    try:
-        s = np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("SVD failed to converge") from exc
-    return float(s[0])
-
-
 @dataclass(frozen=True, eq=False)
 class SvdFactors:
     """Full singular value decomposition ``M = P @ diag(sigma) @ Q*``.
 
     `P` is m x m unitary, `Q` is n x n unitary, `sigma` holds the
     min(m, n) singular values in nonincreasing order, and `rank` counts
-    the singular values above the tolerance frozen at factorization time.
+    the singular values above the rank cutoff of :func:`rank_cutoff`.
     """
 
     P: np.ndarray
@@ -150,27 +129,25 @@ class SvdFactors:
     rank: int
 
 
-def svd(M, tol: float = 0.0) -> SvdFactors:
+def svd(M) -> SvdFactors:
     """Full SVD with an explicit rank decision.
 
     Parameters
     ----------
     M : (m, n) array_like
         Matrix to factor.
-    tol : float, optional
-        Absolute threshold below which singular values count as zero.
-        Zero selects ``max(m, n) * eps * sigma_max``.
 
     Returns
     -------
     SvdFactors
-        Factors with ``P @ diag(sigma) @ Q* == M`` up to round-off and the
-        rank frozen under `tol`.
+        Factors with ``P @ diag(sigma) @ Q* == M`` up to round-off, and the
+        rank: the number of singular values above
+        ``max(m, n) * eps * sigma_max``.
 
     Raises
     ------
     DomainError
-        If `M` is not a nonempty finite 2-D array or `tol` is negative or NaN.
+        If `M` is not a nonempty finite 2-D array.
     NumericalError
         If the underlying SVD iteration fails to converge.
     """
@@ -180,20 +157,20 @@ def svd(M, tol: float = 0.0) -> SvdFactors:
     except np.linalg.LinAlgError as exc:
         raise NumericalError("SVD failed to converge") from exc
     largest = float(sigma[0]) if sigma.size else 0.0
-    cutoff = rank_cutoff(M.shape, largest, tol)
+    cutoff = rank_cutoff(M.shape, largest)
     rank = int(np.count_nonzero(sigma > cutoff))
     return SvdFactors(P=P, sigma=sigma, Q=Qh.conj().T, rank=rank)
 
 
-def pinv(M, tol: float = 0.0) -> np.ndarray:
+def pinv(M) -> np.ndarray:
     """Moore-Penrose pseudoinverse via the SVD.
 
-    Singular values at or below the rank threshold are dropped, not
-    inverted, so the result is stable for rank-deficient input.  Satisfies
-    the four Penrose identities to round-off.
+    Singular values at or below the rank cutoff of :func:`svd` are dropped,
+    not inverted, so the result is stable for rank-deficient input.
+    Satisfies the four Penrose identities to round-off.
     """
     M = as_matrix(M)
-    f = svd(M, tol)
+    f = svd(M)
     r = f.rank
     if r == 0:
         return np.zeros((M.shape[1], M.shape[0]), dtype=M.dtype)
@@ -223,23 +200,6 @@ def psd_eigh(H, name: str = "H") -> tuple[np.ndarray, np.ndarray]:
             f"below -{_HERMITIAN_RTOL:g} * ||{name}||_2"
         )
     return w, Q
-
-
-def psd_sqrt(H) -> np.ndarray:
-    """Hermitian PSD square root ``R`` with ``R @ R == H`` up to round-off.
-
-    Negative eigenvalues that :func:`psd_eigh` accepts as round-off are
-    clamped to zero; raises as :func:`psd_eigh`.
-    """
-    w, Q = psd_eigh(H, "H")
-    R = (Q * np.sqrt(np.maximum(w, 0.0))) @ Q.conj().T
-    return (R + R.conj().T) / 2
-
-
-def range_projector(M, tol: float = 0.0) -> np.ndarray:
-    """Orthogonal projector ``M @ pinv(M)`` onto the range of `M`."""
-    M = as_matrix(M)
-    return M @ pinv(M, tol)
 
 
 def write_matrix(M, path) -> None:

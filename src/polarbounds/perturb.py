@@ -292,11 +292,24 @@ def psd_terms(
 
 
 def _combine(terms: tuple[float, float, float]) -> tuple[float, bool]:
+    """``sqrt(t1^2 + t2^2 - t3^2)``, and whether a negative radicand was
+    clamped to zero.
+
+    The terms are squared only after an exact scaling by the power of two
+    that brings the largest into ``[0.5, 1)``, so no square overflows or
+    underflows, and terms scaled by a power of two scale the result by the
+    same power, exactly.  An infinite `t3` leaves the sign of the radicand
+    unknown: the result is NaN, never a clamp to zero.
+    """
     t1, t2, t3 = terms
+    e = math.frexp(max(t1, t2, t3))[1]
+    t1, t2, t3 = math.ldexp(t1, -e), math.ldexp(t2, -e), math.ldexp(t3, -e)
+    if math.isinf(t3):
+        return math.nan, False
     radicand = t1 * t1 + t2 * t2 - t3 * t3
     if radicand < 0.0:
         return 0.0, True
-    return math.sqrt(radicand), False
+    return math.ldexp(math.sqrt(radicand), e), False
 
 
 def _report_at(scenario: PerturbationScenario, s: complex, t: complex) -> PolarPerturbReport:
@@ -311,7 +324,7 @@ def _report_at(scenario: PerturbationScenario, s: complex, t: complex) -> PolarP
     )
 
 
-def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
+def _radicand_form(sc: PerturbationScenario, family: int, scaled: bool = False) -> np.ndarray:
     """Real 5 x 5 `Q` with ``t1^2 + t2^2 - t3^2 = [1; x]^T Q [1; x]``.
 
     Here ``x = (Re s - 1, Im s, Re t - 1, Im t)`` is the step from the probe
@@ -320,11 +333,18 @@ def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
     (see :func:`_affine_form`), so its squared norm is exactly the
     quadratic form of ``Re(conj(G) G^T)``, where the rows of `G` are
     ``T(0)`` and the ``C_k``, flattened.  `Q` is symmetric up to round-off.
+    With `scaled`, the three `G` are first divided exactly by the one power
+    of two that brings their largest part below 1, so `Q` (then divided by
+    a power of 4) neither overflows nor underflows.
     """
+    G = np.stack([np.vstack((t.base.ravel(), t.coef)) for t in sc._forms[family]])
+    if scaled:
+        parts = G.view(np.float64)
+        shift = math.frexp(max(parts.max(), -parts.min()))[1]
+        G = np.ldexp(parts, -shift).view(np.complex128)
     Q = np.zeros((5, 5))
-    for term, weight in zip(sc._forms[family], (1.0, 1.0, -1.0 / (sc.lam + 1.0))):
-        G = np.vstack((term.base.ravel(), term.coef))
-        Q += weight * (G.conj() @ G.T).real
+    for Gi, weight in zip(G, (1.0, 1.0, -1.0 / (sc.lam + 1.0))):
+        Q += weight * (Gi.conj() @ Gi.T).real
     return Q
 
 
@@ -338,9 +358,10 @@ def _optimal_probe(sc: PerturbationScenario, family: int) -> tuple[complex, comp
     count as zero.  Along flat directions this keeps the probe at (1, 1),
     where the terms are the built matrices themselves, with no round-off
     from the affine steps; the PSD terms, for one, do not depend on `t` at
-    all in exact arithmetic.
+    all in exact arithmetic.  `Q` is the scaled form: a positive scale
+    does not move its minimizer.
     """
-    Q = _radicand_form(sc, family)
+    Q = _radicand_form(sc, family, scaled=True)
     H, g = Q[1:, 1:], Q[1:, 0]
     w, vecs = np.linalg.eigh(H)
     kept = w > matrixcore.rank_cutoff(H.shape, max(float(w[-1]), 0.0))
@@ -402,7 +423,7 @@ def _chen_li_sun(D1, d1_inv, D2, d2_inv) -> float:
     Im, In = np.eye(len(D1), dtype=D1.dtype), np.eye(len(D2), dtype=D2.dtype)
     inv_part = fro(Im - d1_inv) + fro(In - d2_inv)
     direct_part = fro(Im - D1) + fro(In - D2)
-    return math.sqrt(inv_part * inv_part + direct_part * direct_part)
+    return _combine((inv_part, direct_part, 0.0))[0]
 
 
 def hong_meng_zheng_bound(scenario: PerturbationScenario) -> float:
@@ -417,4 +438,4 @@ def hong_meng_zheng_bound(scenario: PerturbationScenario) -> float:
         sc.D1.conj().T - sc.d1_inv
     ) * sc.norm_a
     direct = sc.norm_a * matrixcore.frobenius_norm(In - sc.D2)
-    return math.sqrt(rho * rho + direct * direct)
+    return _combine((rho, direct, 0.0))[0]

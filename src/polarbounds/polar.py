@@ -53,24 +53,22 @@ class PolarResiduals:
         )
 
 
-def generalized_polar(A, tol: float = 0.0) -> PolarFactors:
+def generalized_polar(A) -> PolarFactors:
     """Polar decomposition ``A = U @ H`` valid for any rank and shape.
 
     Parameters
     ----------
     A : (m, n) array_like
         Real or complex matrix.
-    tol : float, optional
-        Rank tolerance passed through to the SVD; zero selects
-        ``max(m, n) * eps * sigma_max``.
 
     Returns
     -------
     PolarFactors
         With SVD ``A = P @ diag(sigma) @ Q*`` and rank ``r``, the factors
         are ``U = P[:, :r] @ Q[:, :r]*`` and ``H = Q @ diag(sigma_r, 0) @ Q*``
-        where singular values at or below the rank threshold are zeroed so
-        `U` and `H` agree on rank.
+        where singular values at or below the rank cutoff
+        ``max(m, n) * eps * sigma_max`` are zeroed so `U` and `H` agree on
+        rank.
 
     Notes
     -----
@@ -79,7 +77,7 @@ def generalized_polar(A, tol: float = 0.0) -> PolarFactors:
     `U` is the unique partial isometry with range equal to the range of
     `A` and corange equal to the range of ``A*``.
     """
-    return _polar_from_svd(matrixcore.svd(A, tol))
+    return _polar_from_svd(matrixcore.svd(A))
 
 
 def _polar_from_svd(f: matrixcore.SvdFactors) -> PolarFactors:
@@ -93,11 +91,13 @@ def _polar_from_svd(f: matrixcore.SvdFactors) -> PolarFactors:
     return PolarFactors(U=U, H=H, rank=r)
 
 
-def verify_polar(A, factors: PolarFactors, tol: float = 0.0) -> PolarResiduals:
+def verify_polar(A, factors: PolarFactors) -> PolarResiduals:
     """Residuals of the polar identities for `factors` against `A`.
 
-    All five residuals are Frobenius norms divided by ``1 + ||A||_F``.
-    This only reports; it never raises on a large residual.
+    All five residuals are Frobenius norms divided by ``1 + ||A||_F``; the
+    projector residuals use ``pinv(A)`` under the rank cutoff of
+    :func:`generalized_polar`.  This only reports; it never raises on a
+    large residual.
     """
     A = matrixcore.as_matrix(A, "A")
     U, H = matrixcore.as_matrix(factors.U, "U"), matrixcore.as_matrix(factors.H, "H")
@@ -105,7 +105,7 @@ def verify_polar(A, factors: PolarFactors, tol: float = 0.0) -> PolarResiduals:
         raise DomainError(
             f"factor shapes {U.shape}, {H.shape} do not match A of shape {A.shape}"
         )
-    Ap = matrixcore.pinv(A, tol)
+    Ap = matrixcore.pinv(A)
     scale = 1.0 + matrixcore.frobenius_norm(A)
     Us = U.conj().T
     return PolarResiduals(

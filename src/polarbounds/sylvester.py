@@ -91,10 +91,11 @@ def _positive_mask(w: np.ndarray) -> np.ndarray:
 def _sqrt_scales(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the square root and of its pseudoinverse.
 
-    Sharing one rank decision matters: taking ``pinv(psd_sqrt(M))`` would
-    re-decide rank after the square root has compressed the gap between
-    genuine and round-off eigenvalues from ``eps`` to ``sqrt(eps)``, and a
-    round-off eigenvalue that slips through gets inverted into noise.
+    Sharing one rank decision matters: the pseudoinverse of the square root
+    ``M^(1/2)`` would re-decide rank after the square root has compressed
+    the gap between genuine and round-off eigenvalues from ``eps`` to
+    ``sqrt(eps)``, and a round-off eigenvalue that slips through gets
+    inverted into noise.
     """
     pos = _positive_mask(w)
     root = np.where(pos, np.sqrt(np.maximum(w, 0.0)), 0.0)

@@ -40,11 +40,23 @@ def structured_instance(rng, m, n, rank_a=None, rank_b=None):
         rank_b = int(rng.integers(1, n + 1))
     A = random_psd(rng, m, rank_a)
     B = random_psd(rng, n, rank_b)
-    Pa = matrixcore.range_projector(A)
-    Pb = matrixcore.range_projector(B)
+    Pa = A @ matrixcore.pinv(A)
+    Pb = B @ matrixcore.pinv(B)
     C = Pa @ complex_gaussian(rng, (m, n)) @ Pb
     D = Pa @ complex_gaussian(rng, (m, n)) @ Pb
     return A, B, C, D
+
+
+def gram_root(M):
+    """``|M| = (M* M)^(1/2)`` from ``np.linalg.eigh``, an oracle for the PSD
+    polar factor that shares no code with the library's SVD path."""
+    w, Q = np.linalg.eigh(M.conj().T @ M)
+    return (Q * np.sqrt(np.maximum(w, 0.0))) @ Q.conj().T
+
+
+def spectral_norm(M):
+    """Largest singular value, from ``np.linalg.norm(M, 2)``."""
+    return float(np.linalg.norm(M, 2))
 
 
 def kronecker_solve(A, B, S):

@@ -405,3 +405,20 @@ class TestRunPerturbSweep:
         bad = type(good)(**{**good.__dict__, "actual_u": good.subunitary_at_identity + 1.0})
         with pytest.raises(NumericalError):
             experiments._check_sweep_row(bad)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["actual_u", "actual_h", "subunitary_at_identity", "psd_at_identity",
+         "subunitary_optimized", "psd_optimized", "chen_li_sun", "hong_meng_zheng"],
+    )
+    def test_row_check_rejects_nan(self, field):
+        good = run_perturb_sweep(sizes=[2], epsilons=[0.01], trials=1)[0]
+        bad = type(good)(**{**good.__dict__, field: math.nan})
+        with pytest.raises(NumericalError):
+            experiments._check_sweep_row(bad)
+
+    def test_huge_epsilon_gives_finite_bounds(self):
+        # Perturbers of norm 1e150 make |B| about 1e300: its bounds' squares
+        # would overflow unscaled.
+        for row in run_perturb_sweep(sizes=[2, 3], epsilons=[1e80, 1e150], trials=2):
+            assert all(math.isfinite(v) for v in row.__dict__.values())

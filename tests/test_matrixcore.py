@@ -77,29 +77,6 @@ class TestFrobeniusNorms:
             matrixcore._frobenius_norms(np.eye(3))
 
 
-class TestSpectralNorm:
-    def test_diagonal(self):
-        assert matrixcore.spectral_norm(np.diag([3.0, 2.0])) == pytest.approx(3.0)
-
-    def test_known_eigenvalues(self):
-        B = np.array([[1.0, math.sqrt(3.0)], [math.sqrt(3.0), 4.0]])
-        assert matrixcore.spectral_norm(B) == pytest.approx((5.0 + math.sqrt(21.0)) / 2.0)
-
-    def test_gram_oracle(self):
-        rng = np.random.default_rng(103)
-        for _ in range(10):
-            M = complex_gaussian(rng, (4, 3))
-            expected = math.sqrt(
-                np.linalg.eigvalsh(M.conj().T @ M)[-1]
-            )
-            assert matrixcore.spectral_norm(M) == pytest.approx(expected, rel=1e-12)
-
-    def test_bounded_by_frobenius(self):
-        rng = np.random.default_rng(104)
-        M = rng.standard_normal((5, 5))
-        assert matrixcore.spectral_norm(M) <= matrixcore.frobenius_norm(M) + 1e-12
-
-
 class TestSvd:
     def test_reconstruction_and_unitarity(self):
         rng = np.random.default_rng(105)
@@ -123,19 +100,6 @@ class TestSvd:
         for m, n, r in [(4, 4, 2), (5, 3, 0), (3, 5, 3), (6, 2, 1)]:
             M = rank_r_matrix(rng, m, n, r)
             assert matrixcore.svd(M).rank == r
-
-    def test_explicit_tolerance(self):
-        M = np.diag([1.0, 1e-3])
-        assert matrixcore.svd(M).rank == 2
-        assert matrixcore.svd(M, tol=1e-2).rank == 1
-
-    @pytest.mark.parametrize("tol", [-1.0, math.nan, "a"])
-    def test_negative_tolerance_rejected(self, tol):
-        with pytest.raises(DomainError):
-            matrixcore.svd(np.eye(2), tol=tol)
-
-    def test_infinite_tolerance_gives_rank_zero(self):
-        assert matrixcore.svd(np.diag([1.0, 1e-3]), tol=math.inf).rank == 0
 
     def test_sigma_nonincreasing(self):
         rng = np.random.default_rng(107)
@@ -176,63 +140,6 @@ class TestPinv:
     def test_tiny_singular_value_dropped(self):
         M = np.diag([1.0, 1e-20])
         npt.assert_allclose(matrixcore.pinv(M), np.diag([1.0, 0.0]), atol=1e-15)
-
-
-class TestPsdSqrt:
-    def test_known_eigenvalues(self):
-        H = np.array([[2.0, 1.0], [1.0, 2.0]])
-        w, Q = np.linalg.eigh(H)
-        expected = (Q * np.sqrt(w)) @ Q.conj().T
-        npt.assert_allclose(matrixcore.psd_sqrt(H), expected, atol=1e-12)
-
-    def test_squares_back(self):
-        rng = np.random.default_rng(110)
-        for rank in (4, 2):
-            G = complex_gaussian(rng, (rank, 4))
-            H = G.conj().T @ G
-            R = matrixcore.psd_sqrt(H)
-            npt.assert_allclose(R @ R, H, atol=1e-12 * (1 + np.linalg.norm(H)))
-            npt.assert_allclose(R, R.conj().T, atol=1e-13)
-
-    def test_projector_is_own_sqrt(self):
-        v = np.array([[1.0], [1.0]]) / math.sqrt(2.0)
-        P = v @ v.T
-        npt.assert_allclose(matrixcore.psd_sqrt(P), P, atol=1e-12)
-
-    def test_clamps_round_off_negatives(self):
-        w = np.array([1.0, -1e-14])
-        Q = np.linalg.qr(np.random.default_rng(111).standard_normal((2, 2)))[0]
-        H = (Q * w) @ Q.T
-        R = matrixcore.psd_sqrt((H + H.T) / 2)
-        assert np.linalg.eigvalsh(R)[0] >= 0.0
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(DomainError):
-            matrixcore.psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(DomainError):
-            matrixcore.psd_sqrt(np.diag([1.0, -1.0]))
-
-
-class TestRangeProjector:
-    def test_column_of_ones(self):
-        npt.assert_allclose(
-            matrixcore.range_projector(np.array([[1.0], [1.0]])),
-            np.full((2, 2), 0.5),
-            atol=1e-14,
-        )
-
-    def test_hermitian_idempotent(self):
-        rng = np.random.default_rng(112)
-        for _ in range(10):
-            m, n = rng.integers(1, 6, size=2)
-            r = int(rng.integers(0, min(m, n) + 1))
-            M = rank_r_matrix(rng, m, n, r)
-            P = matrixcore.range_projector(M)
-            npt.assert_allclose(P, P.conj().T, atol=1e-11)
-            npt.assert_allclose(P @ P, P, atol=1e-11)
-            assert np.trace(P).real == pytest.approx(r, abs=1e-9)
 
 
 # Malformed matrix files and the message each must raise, after the path.

@@ -24,6 +24,7 @@ from conftest import (
     complex_gaussian,
     integer_matrix,
     rank_r_matrix,
+    spectral_norm,
 )
 
 
@@ -131,8 +132,8 @@ class TestClassicalBounds:
         A = complex_gaussian(rng, (2, 2))
         D2 = np.diag([2.0, 0.5])
         sc = make_scenario(A, np.eye(2), D2)
-        norm_a = matrixcore.spectral_norm(A)
-        norm_b = matrixcore.spectral_norm(sc.B)
+        norm_a = spectral_norm(A)
+        norm_b = spectral_norm(sc.B)
         rho = norm_b * matrixcore.frobenius_norm(np.eye(2) - np.linalg.inv(D2))
         direct = norm_a * matrixcore.frobenius_norm(np.eye(2) - D2)
         assert hong_meng_zheng_bound(sc) == pytest.approx(
@@ -184,6 +185,74 @@ class TestBoundValidity:
 
 
 # (terms, term matrices, bound, report field) for each of the two bounds.
+EPS = np.finfo(np.float64).eps
+
+
+class TestExtremeScales:
+    """Scaling `A` by `c` scales the PSD factor, its change and its bounds by
+    `c` and leaves the subunitary ones as they are.  At these `c` the squared
+    terms would underflow or overflow; the bounds are squared only after an
+    exact power-of-two scaling."""
+
+    A = np.array([[1.0, 0.5], [0.0, 2.0]])
+    D1 = np.array([[1.01, 0.02], [-0.01, 0.99]])
+    D2 = np.array([[0.98, 0.01], [0.03, 1.02]])
+
+    def reports(self, c):
+        sc = make_scenario(c * self.A, self.D1, self.D2)
+        return sc, {
+            strategy: (subunitary_bound(sc, strategy), psd_factor_bound(sc, strategy))
+            for strategy in (SearchStrategy.AT_ONE_ONE, SearchStrategy.OPTIMAL)
+        }
+
+    @pytest.mark.parametrize("c", [1e-170, 1e-160, 1e160])
+    def test_bounds_scale_with_a(self, c):
+        sc1, base = self.reports(1.0)
+        sc, scaled = self.reports(c)
+        assert hong_meng_zheng_bound(sc) == pytest.approx(
+            c * hong_meng_zheng_bound(sc1), rel=4 * EPS, abs=0.0
+        )
+        # The optimal probe moves with the round-off of the SVD of c A, so
+        # its bound spreads wider; c = 0.7 or 1e-100 spread as far.
+        for strategy, rel in ((SearchStrategy.AT_ONE_ONE, 4 * EPS),
+                              (SearchStrategy.OPTIMAL, 32 * EPS)):
+            (sub, psd), (sub1, psd1) = scaled[strategy], base[strategy]
+            assert sub.subunitary_bound == pytest.approx(
+                sub1.subunitary_bound, rel=rel, abs=0.0
+            )
+            assert psd.psd_bound == pytest.approx(c * psd1.psd_bound, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("c", [1e-170, 1e-160, 1e160])
+    def test_bounds_stay_valid(self, c):
+        _, reports = self.reports(c)
+        at11 = reports[SearchStrategy.AT_ONE_ONE]
+        opt = reports[SearchStrategy.OPTIMAL]
+        for report in (*at11, *opt):
+            assert report.subunitary_diff <= report.subunitary_bound
+            assert report.psd_diff <= report.psd_bound
+        assert opt[0].subunitary_bound <= at11[0].subunitary_bound
+        assert opt[1].psd_bound <= at11[1].psd_bound
+
+    @pytest.mark.parametrize("c", [1e-160, 1e160])
+    def test_chen_li_sun_at_extreme_perturbers(self, c):
+        # ||I - D1||_F and ||I - inv(D1)||_F are sqrt(2) |1 - c| and
+        # sqrt(2) |1 - 1/c|, one of them about sqrt(2) max(c, 1/c).
+        bound = chen_li_sun_bound(c * np.eye(2), np.eye(2))
+        assert bound == pytest.approx(math.sqrt(2.0) * max(c, 1.0 / c), rel=4 * EPS)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [(1.0, 1.0, math.inf), (math.inf, 1.0, math.inf), (math.inf,) * 3],
+        ids=["t3", "t1-t3", "all"],
+    )
+    def test_infinite_correction_term_is_never_clamped(self, terms):
+        bound, clamped = perturb_mod._combine(terms)
+        assert math.isnan(bound) and not clamped
+
+    def test_infinite_leading_term_gives_infinite_bound(self):
+        assert perturb_mod._combine((math.inf, 1.0, 1.0)) == (math.inf, False)
+
+
 BOUND_KINDS = {
     "subunitary": (
         subunitary_terms, perturb_mod._subunitary_matrices, subunitary_bound, "subunitary_bound"

@@ -8,7 +8,14 @@ from hypothesis import given, strategies as st
 from polarbounds import matrixcore
 from polarbounds.exceptions import DomainError
 from polarbounds.polar import generalized_polar, verify_polar
-from conftest import INTEGER_DTYPES, PROPERTY, complex_gaussian, integer_matrix, rank_r_matrix
+from conftest import (
+    INTEGER_DTYPES,
+    PROPERTY,
+    complex_gaussian,
+    gram_root,
+    integer_matrix,
+    rank_r_matrix,
+)
 
 
 class TestKnownFactorizations:
@@ -70,8 +77,7 @@ class TestFactorProperties:
         rng = np.random.default_rng(202)
         M = complex_gaussian(rng, (4, 4))
         f = generalized_polar(M)
-        root = matrixcore.psd_sqrt(M.conj().T @ M)
-        npt.assert_allclose(f.H, root, atol=1e-11)
+        npt.assert_allclose(f.H, gram_root(M), atol=1e-11)
 
     def test_adjoint_factor_relation(self):
         # |M*| = U |M| U* with the partial isometry of M.
@@ -98,7 +104,7 @@ class TestFactorProperties:
         f = generalized_polar(M)
         P = matrixcore.pinv(f.H)
         npt.assert_allclose(f.U, M @ P, atol=1e-11)
-        npt.assert_allclose(f.H, matrixcore.psd_sqrt(M.conj().T @ M), atol=1e-11)
+        npt.assert_allclose(f.H, gram_root(M), atol=1e-11)
 
     def test_rank_cutoff_ties_factors_together(self):
         # Singular values below the cutoff vanish from both factors, so U
@@ -108,15 +114,6 @@ class TestFactorProperties:
         assert f.rank == 1
         npt.assert_allclose(f.U, np.diag([1.0, 0.0]), atol=1e-15)
         npt.assert_allclose(f.H, np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_explicit_tolerance(self):
-        M = np.diag([1.0, 1e-3])
-        assert generalized_polar(M).rank == 2
-        assert generalized_polar(M, tol=1e-2).rank == 1
-
-    def test_nan_tolerance_rejected(self):
-        with pytest.raises(DomainError):
-            generalized_polar(np.diag([1.0, 1e-3]), tol=math.nan)
 
 
 class TestVerifyPolar:

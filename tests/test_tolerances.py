@@ -1,6 +1,6 @@
 """The fixed numerical tolerances, each tested on both sides of its threshold
-at every entry point that shares it, and a census of the public signatures
-so that a new tolerance parameter shows up in review."""
+at every entry point that shares it, and a census of the public names and
+signatures so that a new export or tolerance parameter shows up in review."""
 
 import dataclasses
 import inspect
@@ -10,7 +10,15 @@ import numpy.testing as npt
 import pytest
 
 import polarbounds
-from polarbounds import bounds, matrixcore, sylvester
+from polarbounds import (
+    bounds,
+    exceptions,
+    experiments,
+    matrixcore,
+    perturb,
+    polar,
+    sylvester,
+)
 from polarbounds.exceptions import (
     DomainError,
     InconsistentSystemError,
@@ -22,7 +30,6 @@ from polarbounds.exceptions import (
 # 1e-10), called with the matrix under test as its coefficient(s).
 PSD_ENTRY_POINTS = {
     "psd_eigh": lambda M: matrixcore.psd_eigh(M),
-    "psd_sqrt": lambda M: matrixcore.psd_sqrt(M),
     "structured_problem": lambda M: sylvester.structured_problem(
         M, M, np.eye(2), np.eye(2)
     ),
@@ -80,6 +87,54 @@ class TestOverlapTolerance:
         npt.assert_array_equal(X, [[1.0]])
 
 
+_EPS = np.finfo(np.float64).eps
+
+
+def _with_small_singular_value(shape, factor):
+    """Diagonal matrix of `shape` with singular values 1 and `factor` times
+    the rank cutoff, which is ``max(m, n) * eps`` at ``sigma_max = 1``; the
+    SVD of a diagonal matrix is exact, so the small value reaches the cutoff
+    test unrounded."""
+    M = np.zeros(shape)
+    M[0, 0] = 1.0
+    M[1, 1] = factor * max(shape) * _EPS
+    return M
+
+
+class TestRankCutoff:
+    """A singular value counts as zero at or below ``max(m, n) * eps * sigma_max``."""
+
+    SHAPES = [(2, 2), (3, 2), (2, 4)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_value_below_threshold_is_dropped(self, shape):
+        M = _with_small_singular_value(shape, 0.5)
+        assert matrixcore.svd(M).rank == 1
+        assert polar.generalized_polar(M).rank == 1
+        assert matrixcore.pinv(M)[1, 1] == 0.0
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_value_above_threshold_is_kept(self, shape):
+        M = _with_small_singular_value(shape, 2.0)
+        assert matrixcore.svd(M).rank == 2
+        assert polar.generalized_polar(M).rank == 2
+        assert matrixcore.pinv(M)[1, 1] == 1.0 / M[1, 1]
+
+    @pytest.mark.parametrize("which", ["D1", "D2"])
+    def test_perturber_below_threshold_is_rejected(self, which):
+        perturbers = {"D1": np.eye(2), "D2": np.eye(2)}
+        perturbers[which] = _with_small_singular_value((2, 2), 0.5)
+        with pytest.raises(DomainError, match=f"{which} is singular"):
+            perturb.make_scenario(np.eye(2), **perturbers)
+
+    @pytest.mark.parametrize("which", ["D1", "D2"])
+    def test_perturber_above_threshold_is_accepted_with_warning(self, which):
+        perturbers = {"D1": np.eye(2), "D2": np.eye(2)}
+        perturbers[which] = _with_small_singular_value((2, 2), 2.0)
+        with pytest.warns(RuntimeWarning, match=f"{which} has condition number"):
+            perturb.make_scenario(np.eye(2), **perturbers)
+
+
 def _fix_residual(monkeypatch, value):
     """Make the spectral kernel report `value` as its scaled residual."""
     solve = sylvester._spectral_solve
@@ -110,34 +165,56 @@ class TestResidualTolerance:
             sylvester.solve_general_hermitian(*args)
 
 
-class TestSignatureCensus:
-    # The caller-set rank tolerance; every other tolerance is a fixed
-    # module constant.
-    RANK_TOLERANCE_FAMILY = {
-        "svd", "pinv", "range_projector", "generalized_polar", "verify_polar",
-    }
+MODULES = [polarbounds, bounds, exceptions, experiments, matrixcore, perturb, polar, sylvester]
 
+
+class TestSignatureCensus:
     @staticmethod
     def _parameters():
-        for name in polarbounds.__all__:
-            obj = getattr(polarbounds, name)
-            if not callable(obj):
-                continue
-            try:
-                signature = inspect.signature(obj)
-            except (TypeError, ValueError):
-                continue
-            yield name, set(signature.parameters)
+        for module in MODULES:
+            for name in module.__all__:
+                obj = getattr(module, name)
+                if not callable(obj):
+                    continue
+                try:
+                    signature = inspect.signature(obj)
+                except (TypeError, ValueError):
+                    continue
+                yield f"{module.__name__}.{name}", set(signature.parameters)
 
     def test_no_relative_tolerance_parameters(self):
+        # Every tolerance is a fixed module constant, the rank cutoff included.
         offenders = [
-            name for name, params in self._parameters() if params & {"rtol", "overlap_rtol"}
+            name
+            for name, params in self._parameters()
+            if params & {"rtol", "overlap_rtol", "tol"}
         ]
         assert offenders == []
 
-    def test_tol_only_on_rank_tolerance_family(self):
-        with_tol = {name for name, params in self._parameters() if "tol" in params}
-        assert with_tol == self.RANK_TOLERANCE_FAMILY
+    @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+    def test_every_exported_name_resolves(self, module):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+    def test_public_names(self):
+        assert sorted(polarbounds.__all__) == [
+            "BoundKind", "BoundPair", "ComparisonTest", "DEFAULT_SEED", "DomainError",
+            "ExampleReport", "ExperimentConfig", "HypothesisError",
+            "InconsistentSystemError", "MatrixFormatError", "NumericalError",
+            "PerturbationScenario", "PolarFactors", "PolarPerturbReport",
+            "PolarResiduals", "SampleDistribution", "SearchStrategy",
+            "SpectralOverlapError", "StructuredProblem", "SvdFactors", "SweepRow",
+            "SylvesterSolution", "SymmetricBoundParams", "TrialTally",
+            "WeightedBoundParams", "__version__", "chen_li_sun_bound",
+            "frobenius_norm", "generalized_polar", "hong_meng_zheng_bound",
+            "make_scenario", "midpoint_bounds", "norm_sum_bound", "pinv",
+            "psd_factor_bound", "psd_terms", "read_matrix", "run_example",
+            "run_montecarlo", "run_perturb_sweep", "separation_bound",
+            "solve_general_hermitian", "solve_structured", "spectral_separation",
+            "splitting_identity_residual", "structured_problem", "subunitary_bound",
+            "subunitary_terms", "svd", "symmetric_bounds",
+            "symmetric_params_from_spectra", "verify_polar", "weighted_bounds",
+            "weighted_params_from_spectra", "write_matrix",
+        ]
 
     def test_perturbation_scenario_fields(self):
         names = [f.name for f in dataclasses.fields(polarbounds.PerturbationScenario)]
