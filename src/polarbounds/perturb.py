@@ -324,7 +324,7 @@ def _report_at(scenario: PerturbationScenario, s: complex, t: complex) -> PolarP
     )
 
 
-def _radicand_form(sc: PerturbationScenario, family: int, scaled: bool = False) -> np.ndarray:
+def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
     """Real 5 x 5 `Q` with ``t1^2 + t2^2 - t3^2 = [1; x]^T Q [1; x]``.
 
     Here ``x = (Re s - 1, Im s, Re t - 1, Im t)`` is the step from the probe
@@ -333,14 +333,16 @@ def _radicand_form(sc: PerturbationScenario, family: int, scaled: bool = False) 
     (see :func:`_affine_form`), so its squared norm is exactly the
     quadratic form of ``Re(conj(G) G^T)``, where the rows of `G` are
     ``T(0)`` and the ``C_k``, flattened.  `Q` is symmetric up to round-off.
-    With `scaled`, the three `G` are first divided exactly by the one power
-    of two that brings their largest part below 1, so `Q` (then divided by
-    a power of 4) neither overflows nor underflows.
+    When the largest part of the three `G` lies outside ``2^-200`` to
+    ``2^200``, they are first divided exactly by the power of two that
+    brings it into ``[0.5, 1)``, so `Q` (then divided by a power of 4)
+    neither overflows nor underflows; inside that range no square can, and
+    `Q` is left unscaled.
     """
     G = np.stack([np.vstack((t.base.ravel(), t.coef)) for t in sc._forms[family]])
-    if scaled:
-        parts = G.view(np.float64)
-        shift = math.frexp(max(parts.max(), -parts.min()))[1]
+    parts = G.view(np.float64)
+    shift = math.frexp(max(parts.max(), -parts.min()))[1]
+    if abs(shift) > 200:
         G = np.ldexp(parts, -shift).view(np.complex128)
     Q = np.zeros((5, 5))
     for Gi, weight in zip(G, (1.0, 1.0, -1.0 / (sc.lam + 1.0))):
@@ -358,10 +360,10 @@ def _optimal_probe(sc: PerturbationScenario, family: int) -> tuple[complex, comp
     count as zero.  Along flat directions this keeps the probe at (1, 1),
     where the terms are the built matrices themselves, with no round-off
     from the affine steps; the PSD terms, for one, do not depend on `t` at
-    all in exact arithmetic.  `Q` is the scaled form: a positive scale
-    does not move its minimizer.
+    all in exact arithmetic.  `Q` may be scaled by a power of 4, which does
+    not move its minimizer.
     """
-    Q = _radicand_form(sc, family, scaled=True)
+    Q = _radicand_form(sc, family)
     H, g = Q[1:, 1:], Q[1:, 0]
     w, vecs = np.linalg.eigh(H)
     kept = w > matrixcore.rank_cutoff(H.shape, max(float(w[-1]), 0.0))

@@ -184,7 +184,6 @@ class TestBoundValidity:
         assert isinstance(report.psd_clamped, bool)
 
 
-# (terms, term matrices, bound, report field) for each of the two bounds.
 EPS = np.finfo(np.float64).eps
 
 
@@ -253,6 +252,7 @@ class TestExtremeScales:
         assert perturb_mod._combine((math.inf, 1.0, 1.0)) == (math.inf, False)
 
 
+# (terms, term matrices, bound, report field) for each of the two bounds.
 BOUND_KINDS = {
     "subunitary": (
         subunitary_terms, perturb_mod._subunitary_matrices, subunitary_bound, "subunitary_bound"
