@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 _COND_WARN = 1e12
+# Numbers whose binary exponent lies within +-_SAFE_EXPONENT are squared as
+# they are: no square of them overflows or underflows.
+_SAFE_EXPONENT = 200
 # The probe (1, 1) and its four unit steps along x = (Re s - 1, Im s,
 # Re t - 1, Im t), shaped so one term-matrix build evaluates all five.
 _PROBE_S = np.array([1, 2, 1 + 1j, 1, 1], dtype=np.complex128).reshape(5, 1, 1)
@@ -291,21 +294,30 @@ def psd_terms(
     return _terms(scenario, 1, s, t)
 
 
+def _square_shift(largest: float) -> int:
+    """The power of two to divide numbers up to `largest` by before squaring
+    them: 0 in the safe range, else the exponent that brings `largest` into
+    ``[0.5, 1)``."""
+    e = math.frexp(largest)[1]
+    return e if abs(e) > _SAFE_EXPONENT else 0
+
+
 def _combine(terms: tuple[float, float, float]) -> tuple[float, bool]:
     """``sqrt(t1^2 + t2^2 - t3^2)``, and whether a negative radicand was
     clamped to zero.
 
-    The terms are squared only after an exact scaling by the power of two
-    that brings the largest into ``[0.5, 1)``, so no square overflows or
-    underflows, and terms scaled by a power of two scale the result by the
-    same power, exactly.  An infinite `t3` leaves the sign of the radicand
-    unknown: the result is NaN, never a clamp to zero.
+    Outside the safe range the terms are squared only after an exact
+    scaling by a power of two (see :func:`_square_shift`), so no square
+    overflows or underflows, and terms scaled by a power of two scale the
+    result by the same power.  An infinite `t3` leaves the sign of the
+    radicand unknown: the result is NaN, never a clamp to zero.
     """
     t1, t2, t3 = terms
-    e = math.frexp(max(t1, t2, t3))[1]
-    t1, t2, t3 = math.ldexp(t1, -e), math.ldexp(t2, -e), math.ldexp(t3, -e)
     if math.isinf(t3):
         return math.nan, False
+    e = _square_shift(max(terms))
+    if e:
+        t1, t2, t3 = math.ldexp(t1, -e), math.ldexp(t2, -e), math.ldexp(t3, -e)
     radicand = t1 * t1 + t2 * t2 - t3 * t3
     if radicand < 0.0:
         return 0.0, True
@@ -333,20 +345,20 @@ def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
     (see :func:`_affine_form`), so its squared norm is exactly the
     quadratic form of ``Re(conj(G) G^T)``, where the rows of `G` are
     ``T(0)`` and the ``C_k``, flattened.  `Q` is symmetric up to round-off.
-    When the largest part of the three `G` lies outside ``2^-200`` to
-    ``2^200``, they are first divided exactly by the power of two that
-    brings it into ``[0.5, 1)``, so `Q` (then divided by a power of 4)
-    neither overflows nor underflows; inside that range no square can, and
-    `Q` is left unscaled.
+    When the largest part of the three `G` lies outside the safe range,
+    they are first divided exactly by a power of two (see
+    :func:`_square_shift`), so `Q`, then divided by a power of 4, neither
+    overflows nor underflows.
     """
     G = np.stack([np.vstack((t.base.ravel(), t.coef)) for t in sc._forms[family]])
     parts = G.view(np.float64)
-    shift = math.frexp(max(parts.max(), -parts.min()))[1]
-    if abs(shift) > 200:
+    shift = _square_shift(max(parts.max(), -parts.min()))
+    if shift:
         G = np.ldexp(parts, -shift).view(np.complex128)
     Q = np.zeros((5, 5))
-    for Gi, weight in zip(G, (1.0, 1.0, -1.0 / (sc.lam + 1.0))):
-        Q += weight * (Gi.conj() @ Gi.T).real
+    grams = (G.conj() @ G.transpose(0, 2, 1)).real
+    for gram, weight in zip(grams, (1.0, 1.0, -1.0 / (sc.lam + 1.0))):
+        Q += weight * gram
     return Q
 
 
