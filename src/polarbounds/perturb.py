@@ -47,6 +47,7 @@ _COND_WARN = 1e12
 # Numbers whose binary exponent lies within +-_SAFE_EXPONENT are squared as
 # they are: no square of them overflows or underflows.
 _SAFE_EXPONENT = 200
+_SAFE_SQUARES = (math.ldexp(1.0, -2 * _SAFE_EXPONENT), math.ldexp(1.0, 2 * _SAFE_EXPONENT))
 # The probe (1, 1) and its four unit steps along x = (Re s - 1, Im s,
 # Re t - 1, Im t), shaped so one term-matrix build evaluates all five.
 _PROBE_S = np.array([1, 2, 1 + 1j, 1, 1], dtype=np.complex128).reshape(5, 1, 1)
@@ -345,20 +346,31 @@ def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
     (see :func:`_affine_form`), so its squared norm is exactly the
     quadratic form of ``Re(conj(G) G^T)``, where the rows of `G` are
     ``T(0)`` and the ``C_k``, flattened.  `Q` is symmetric up to round-off.
-    When the largest part of the three `G` lies outside the safe range,
-    they are first divided exactly by a power of two (see
-    :func:`_square_shift`), so `Q`, then divided by a power of 4, neither
-    overflows nor underflows.
+    Every entry of `Q` is a sum of at most ``15 n`` products of parts of the
+    `G`, where `n` is their row length.  So when the largest ``|Q|`` lies
+    within ``4^-200`` to ``4^200``, no square of the largest part
+    overflowed or lost bits to underflow.  Otherwise, or on a NaN, `G` whose
+    largest part lies outside the safe range are divided exactly by a power
+    of two (see :func:`_square_shift`) and `Q` is formed again, divided by
+    a power of 4.
     """
-    G = np.stack([np.vstack((t.base.ravel(), t.coef)) for t in sc._forms[family]])
-    parts = G.view(np.float64)
-    shift = _square_shift(max(parts.max(), -parts.min()))
-    if shift:
-        G = np.ldexp(parts, -shift).view(np.complex128)
+    rows = [np.vstack((t.base.ravel(), t.coef)) for t in sc._forms[family]]
+    weights = (1.0, 1.0, -1.0 / (sc.lam + 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = _gram_sum(rows, weights)
+    if not _SAFE_SQUARES[0] <= np.abs(Q).max() <= _SAFE_SQUARES[1]:
+        shift = _square_shift(max(np.abs(G).max() for G in rows))
+        if shift:
+            rows = [np.ldexp(G.view(np.float64), -shift).view(np.complex128) for G in rows]
+            Q = _gram_sum(rows, weights)
+    return Q
+
+
+def _gram_sum(rows: list[np.ndarray], weights: tuple[float, float, float]) -> np.ndarray:
+    """``sum_i weights[i] * Re(conj(G_i) G_i^T)`` over the `G_i` in `rows`."""
     Q = np.zeros((5, 5))
-    grams = (G.conj() @ G.transpose(0, 2, 1)).real
-    for gram, weight in zip(grams, (1.0, 1.0, -1.0 / (sc.lam + 1.0))):
-        Q += weight * gram
+    for G, weight in zip(rows, weights):
+        Q += weight * (G.conj() @ G.T).real
     return Q
 
 
