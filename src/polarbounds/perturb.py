@@ -346,13 +346,13 @@ def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
     (see :func:`_affine_form`), so its squared norm is exactly the
     quadratic form of ``Re(conj(G) G^T)``, where the rows of `G` are
     ``T(0)`` and the ``C_k``, flattened.  `Q` is symmetric up to round-off.
-    Every entry of `Q` is a sum of at most ``15 n`` products of parts of the
-    `G`, where `n` is their row length.  So when the largest ``|Q|`` lies
-    within ``4^-200`` to ``4^200``, no square of the largest part
-    overflowed or lost bits to underflow.  Otherwise, or on a NaN, `G` whose
-    largest part lies outside the safe range are divided exactly by a power
-    of two (see :func:`_square_shift`) and `Q` is formed again, divided by
-    a power of 4.
+    Every entry of `Q` sums ``6 n`` products of real or imaginary parts of
+    the `G`, weighted by at most 1, where `n` is their row length.  So when
+    the largest ``|Q|`` lies within ``4^-200`` to ``4^200``, no square of
+    the largest part overflowed or lost bits to underflow.  Otherwise, or
+    on a NaN, and when the largest part of the `G` lies outside the safe
+    range, the `G` are divided exactly by a power of two (see
+    :func:`_square_shift`) and `Q` is formed again, divided by a power of 4.
     """
     rows = [np.vstack((t.base.ravel(), t.coef)) for t in sc._forms[family]]
     weights = (1.0, 1.0, -1.0 / (sc.lam + 1.0))
