@@ -297,22 +297,16 @@ def psd_terms(
 
 def _square_shift(largest: float) -> int:
     """The power of two to divide numbers up to `largest` by before squaring
-    them: 0 in the safe range, else the exponent that brings `largest` into
-    ``[0.5, 1)``."""
+    them: 0 in the safe range, else the `frexp` exponent of `largest`."""
     e = math.frexp(largest)[1]
     return e if abs(e) > _SAFE_EXPONENT else 0
 
 
 def _combine(terms: tuple[float, float, float]) -> tuple[float, bool]:
-    """``sqrt(t1^2 + t2^2 - t3^2)``, and whether a negative radicand was
-    clamped to zero.
-
-    Outside the safe range the terms are squared only after an exact
-    scaling by a power of two (see :func:`_square_shift`), so no square
-    overflows or underflows, and terms scaled by a power of two scale the
-    result by the same power.  An infinite `t3` leaves the sign of the
-    radicand unknown: the result is NaN, never a clamp to zero.
-    """
+    """``sqrt(t1^2 + t2^2 - t3^2)`` and whether a negative radicand was
+    clamped to zero.  The terms are squared after the exact scaling of
+    :func:`_square_shift`.  An infinite `t3` leaves the radicand's sign
+    unknown: the result is NaN, never a clamp to zero."""
     t1, t2, t3 = terms
     if math.isinf(t3):
         return math.nan, False
@@ -346,13 +340,11 @@ def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
     (see :func:`_affine_form`), so its squared norm is exactly the
     quadratic form of ``Re(conj(G) G^T)``, where the rows of `G` are
     ``T(0)`` and the ``C_k``, flattened.  `Q` is symmetric up to round-off.
-    Every entry of `Q` sums ``6 n`` products of real or imaginary parts of
-    the `G`, weighted by at most 1, where `n` is their row length.  So when
-    the largest ``|Q|`` lies within ``4^-200`` to ``4^200``, no square of
-    the largest part overflowed or lost bits to underflow.  Otherwise, or
-    on a NaN, and when the largest part of the `G` lies outside the safe
-    range, the `G` are divided exactly by a power of two (see
-    :func:`_square_shift`) and `Q` is formed again, divided by a power of 4.
+    Each entry sums ``6 n`` products of parts of the `G` (`n` their row
+    length), weighted by at most 1: a largest ``|Q|`` within ``4^-200`` to
+    ``4^200`` shows that no leading square overflowed or underflowed.
+    Otherwise `Q` is formed again from the `G` scaled by
+    :func:`_square_shift`, which divides it by a power of 4.
     """
     rows = [np.vstack((t.base.ravel(), t.coef)) for t in sc._forms[family]]
     weights = (1.0, 1.0, -1.0 / (sc.lam + 1.0))
