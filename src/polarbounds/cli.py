@@ -7,8 +7,10 @@ or parse error (including malformed matrix files and shape mismatches).
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -30,6 +32,12 @@ from .experiments import (
 )
 
 _BOUND_LABELS = ("separation", "norm-sum", "midpoint", "weighted", "symmetric")
+_TALLY_HEADER = ["test_id", "trials", "seed", "alpha", "beta", "gamma", "redraws"]
+# Published CSV names of the `SweepRow` fields, in order; each side has readers.
+_SWEEP_HEADER = [
+    "size", "rank", "epsilon", "trial", "actual_U", "actual_H", "phi_bound_11",
+    "gamma_bound_11", "phi_bound_opt", "gamma_bound_opt", "cls_bound", "hmz_bound",
+]
 
 
 def _integer(text: str, least: int) -> int:
@@ -164,9 +172,10 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         seed=args.seed,
         size=args.size,
         dist=SampleDistribution(args.dist),
-        out_path=args.out,
     )
     tally = run_montecarlo(config)
+    if args.out is not None:
+        _write_csv(args.out, _TALLY_HEADER, [(tally.test.value, *astuple(tally)[1:])])
     n = tally.trials
     print(
         f"test {tally.test.value}: trials={n} seed={tally.seed} "
@@ -182,14 +191,18 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
 
 def _cmd_perturb_sweep(args: argparse.Namespace) -> int:
     rows = run_perturb_sweep(
-        sizes=args.sizes,
-        epsilons=args.epsilons,
-        trials=args.trials,
-        seed=args.seed,
-        out_path=args.out,
+        sizes=args.sizes, epsilons=args.epsilons, trials=args.trials, seed=args.seed
     )
+    _write_csv(args.out, _SWEEP_HEADER, map(astuple, rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _print_matrix(name: str, M: np.ndarray) -> None:

@@ -19,11 +19,10 @@ alone.  Chunks run one after another in the calling thread.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import operator
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -49,24 +48,6 @@ DEFAULT_SEED = 20250814
 _MAX_REDRAWS = 100
 _CHUNK = 4096
 
-_TALLY_HEADER = ["test_id", "trials", "seed", "alpha", "beta", "gamma", "redraws"]
-# Published CSV names of the `SweepRow` fields, in order; each side has readers.
-_SWEEP_HEADER = [
-    "size",
-    "rank",
-    "epsilon",
-    "trial",
-    "actual_U",
-    "actual_H",
-    "phi_bound_11",
-    "gamma_bound_11",
-    "phi_bound_opt",
-    "gamma_bound_opt",
-    "cls_bound",
-    "hmz_bound",
-]
-
-
 class ComparisonTest(Enum):
     """How the data matrices `C` and `D` relate in a Monte Carlo trial."""
 
@@ -91,7 +72,6 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     size: int = 3
     dist: SampleDistribution = SampleDistribution.UNIFORM_REAL
-    out_path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -354,7 +334,7 @@ def run_montecarlo(config: ExperimentConfig) -> TrialTally:
     """Tally the three bound comparisons over independent seeded trials.
 
     Trials are independent substreams of the seed, so the tally does not
-    depend on chunking.  Writes a one-row CSV when `config.out_path` is set.
+    depend on chunking.
     """
     trials = _integer(config.trials, "trials", 1)
     size = _integer(config.size, "size", 1)
@@ -374,7 +354,7 @@ def run_montecarlo(config: ExperimentConfig) -> TrialTally:
     beta = sum(p[1] for p in parts)
     gamma = sum(p[2] for p in parts)
     redraws = sum(p[3] for p in parts)
-    tally = TrialTally(
+    return TrialTally(
         test=config.test,
         trials=trials,
         seed=seed,
@@ -383,18 +363,6 @@ def run_montecarlo(config: ExperimentConfig) -> TrialTally:
         gamma=gamma,
         redraws=redraws,
     )
-    if config.out_path is not None:
-        row = (tally.test.value, tally.trials, tally.seed, tally.alpha, tally.beta,
-               tally.gamma, tally.redraws)
-        _write_csv(config.out_path, _TALLY_HEADER, [row])
-    return tally
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -457,7 +425,6 @@ def run_perturb_sweep(
     epsilons,
     trials: int,
     seed: int = DEFAULT_SEED,
-    out_path: str | None = None,
 ) -> list[SweepRow]:
     """Sweep random perturbation scenarios and record bounds per row.
 
@@ -478,12 +445,9 @@ def run_perturb_sweep(
         raise DomainError(f"epsilons must be finite and nonnegative, got {epsilons}")
     trials = _integer(trials, "trials", 1)
     seed = _integer(seed, "seed", 0)
-    rows = [
+    return [
         _sweep_trial(seed, si, size, ei, epsilon, trial)
         for si, size in enumerate(sizes)
         for ei, epsilon in enumerate(epsilons)
         for trial in range(trials)
     ]
-    if out_path is not None:
-        _write_csv(out_path, _SWEEP_HEADER, map(astuple, rows))
-    return rows

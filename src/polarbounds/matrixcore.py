@@ -51,13 +51,29 @@ def require_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def require_hermitian(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Check ``||M - M*||_F <= 1e-10 * ||M||_F`` and return the symmetrized matrix."""
+    """Check ``||M - M*||_F <= 1e-10 * ||M||_F``; return :func:`_hermitian_part` of `M`."""
     M = require_square(M, name)
     if frobenius_norm(M - M.conj().T) > _HERMITIAN_RTOL * frobenius_norm(M):
         raise DomainError(
             f"{name} is not Hermitian within relative tolerance {_HERMITIAN_RTOL:g}"
         )
-    return (M + M.conj().T) / 2
+    return _hermitian_part(M)
+
+
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    """``(M + M*) / 2``, each real and imaginary part ``(a + b) / 2`` rounded once.
+
+    So it is exactly Hermitian, finite, and `M` itself for exactly Hermitian
+    `M`.  Where ``a + b`` overflows, one term exceeds ``DBL_MAX / 2`` and the
+    sum of the halves rounds the same way: a half is inexact only for a
+    subnormal, far below the larger term's ulp.
+    """
+    a, b = (np.ascontiguousarray(X).view(np.float64) for X in (M, M.conj().T))
+    with np.errstate(over="ignore"):
+        mean = (a + b) / 2
+    big = np.isinf(mean)
+    mean[big] = a[big] / 2 + b[big] / 2
+    return mean.view(M.dtype)
 
 
 def rank_cutoff(shape: tuple[int, int], largest: float) -> float:
@@ -169,16 +185,18 @@ def pinv(M) -> np.ndarray:
     not inverted, so the result is stable for rank-deficient input.
     Satisfies the four Penrose identities to round-off.
     """
-    M = as_matrix(M)
     f = svd(M)
     r = f.rank
     if r == 0:
-        return np.zeros((M.shape[1], M.shape[0]), dtype=M.dtype)
+        return np.zeros((f.Q.shape[0], f.P.shape[0]), dtype=f.P.dtype)
     return (f.Q[:, :r] / f.sigma[:r]) @ f.P[:, :r].conj().T
 
 
-def psd_eigh(H, name: str = "H") -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition ``(w, Q)`` of a Hermitian PSD matrix, `w` ascending.
+def psd_eigh(H, name: str = "H") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecomposition ``H = Q @ diag(w) @ Q*`` of a Hermitian PSD matrix.
+
+    Returns ``(H, w, Q)`` with `w` ascending; `H` is the Hermitian part of
+    the argument (see :func:`require_hermitian`), the matrix factored.
 
     Raises
     ------
@@ -186,20 +204,22 @@ def psd_eigh(H, name: str = "H") -> tuple[np.ndarray, np.ndarray]:
         If `H` is not square, not Hermitian (see :func:`require_hermitian`),
         or has an eigenvalue below ``-1e-10 * ||H||_2``.
     NumericalError
-        If the eigensolver fails to converge.
+        If the eigensolver fails to converge, or an eigenvalue overflows.
     """
     H = require_hermitian(H, name)
     try:
         w, Q = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition failed to converge") from exc
+    if not np.isfinite(w).all():
+        raise NumericalError(f"an eigenvalue of {name} overflows the largest double")
     scale = float(np.abs(w).max())
-    if w[0] < -_HERMITIAN_RTOL * scale:
+    if not (w[0] >= -_HERMITIAN_RTOL * scale):
         raise DomainError(
             f"{name} is not positive semidefinite: eigenvalue {w[0]:.3e} "
             f"below -{_HERMITIAN_RTOL:g} * ||{name}||_2"
         )
-    return w, Q
+    return H, w, Q
 
 
 def write_matrix(M, path) -> None:

@@ -86,8 +86,7 @@ def _polar_from_svd(f: matrixcore.SvdFactors) -> PolarFactors:
     U = f.P[:, :r] @ f.Q[:, :r].conj().T
     kept = np.zeros(f.Q.shape[0], dtype=np.float64)
     kept[:r] = f.sigma[:r]
-    H = (f.Q * kept) @ f.Q.conj().T
-    H = (H + H.conj().T) / 2
+    H = matrixcore._hermitian_part((f.Q * kept) @ f.Q.conj().T)
     return PolarFactors(U=U, H=H, rank=r)
 
 

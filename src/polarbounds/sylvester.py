@@ -40,7 +40,9 @@ _RESIDUAL_TOL = 1e-8
 class StructuredProblem:
     """Problem data for ``A X + X B = A C + D B`` with range bookkeeping.
 
-    `A` (m x m) and `B` (n x n) are Hermitian PSD; `C` and `D` are m x n.
+    `A` (m x m) and `B` (n x n) are Hermitian PSD: the Hermitian parts of
+    the given coefficients, which are the matrices whose eigendecompositions
+    are kept.  `C` and `D` are m x n.
     The four flags record, each at relative tolerance 1e-10, whether the
     data matrices conform to the coefficient ranges:
 
@@ -148,11 +150,11 @@ def structured_problem(A, B, C, D) -> StructuredProblem:
     DomainError
         On shape mismatch or if `A` or `B` fails the Hermitian PSD check
         (relative tolerance 1e-10).
+    NumericalError
+        If an eigenvalue of `A` or `B` overflows or fails to converge.
     """
-    wa, Qa = matrixcore.psd_eigh(A, "A")
-    wb, Qb = matrixcore.psd_eigh(B, "B")
-    A = matrixcore.as_matrix(A, "A")
-    B = matrixcore.as_matrix(B, "B")
+    A, wa, Qa = matrixcore.psd_eigh(A, "A")
+    B, wb, Qb = matrixcore.psd_eigh(B, "B")
     C = matrixcore.as_matrix(C, "C")
     D = matrixcore.as_matrix(D, "D")
     m, n = A.shape[0], B.shape[0]

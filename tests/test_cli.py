@@ -1,3 +1,4 @@
+import csv
 import importlib.metadata
 import math
 import os
@@ -13,6 +14,12 @@ import polarbounds
 from polarbounds import matrixcore
 from polarbounds import cli
 from polarbounds.cli import main
+from polarbounds.experiments import (
+    ComparisonTest,
+    ExperimentConfig,
+    run_montecarlo,
+    run_perturb_sweep,
+)
 
 
 def _distribution_installed(name):
@@ -68,6 +75,18 @@ class TestMontecarloCommand:
         assert out_path.exists()
         assert f"wrote {out_path}" in capsys.readouterr().out
 
+    def test_tally_csv_schema(self, tmp_path):
+        out = tmp_path / "tally.csv"
+        assert main(["montecarlo", "--test", "ii", "--trials", "40", "--out", str(out)]) == 0
+        tally = run_montecarlo(ExperimentConfig(test=ComparisonTest.ZERO_D, trials=40))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == cli._TALLY_HEADER
+        assert rows[1] == [
+            "ii", "40", str(tally.seed),
+            str(tally.alpha), str(tally.beta), str(tally.gamma), str(tally.redraws),
+        ]
+
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(SystemExit) as exc:
             main(["montecarlo", "--trials", "0"])
@@ -99,6 +118,21 @@ class TestPerturbSweepCommand:
         ) == 0
         assert "wrote 4 rows" in capsys.readouterr().out
         assert len(out_path.read_text().splitlines()) == 5
+
+    def test_sweep_csv_schema(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["perturb-sweep", "--sizes", "2", "--epsilons", "0.1", "--trials", "3",
+             "--out", str(out)]
+        ) == 0
+        rows = run_perturb_sweep(sizes=[2], epsilons=[0.1], trials=3)
+        with open(out, newline="") as fh:
+            parsed = list(csv.reader(fh))
+        assert parsed[0] == cli._SWEEP_HEADER
+        assert len(parsed) == 1 + len(rows)
+        assert all(len(cells) == len(cli._SWEEP_HEADER) for cells in parsed[1:])
+        # Float cells are written as reprs, so they parse back exactly.
+        assert float(parsed[1][4]) == rows[0].actual_u
 
     def test_output_path_required(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polarbounds import matrixcore
-from polarbounds.exceptions import DomainError, MatrixFormatError
-from conftest import complex_gaussian, rank_r_matrix
+from polarbounds.exceptions import DomainError, MatrixFormatError, NumericalError
+from conftest import PROPERTY, complex_gaussian, rank_r_matrix, random_psd
 
 
 class TestFrobeniusNorm:
@@ -140,6 +142,126 @@ class TestPinv:
     def test_tiny_singular_value_dropped(self):
         M = np.diag([1.0, 1e-20])
         npt.assert_allclose(matrixcore.pinv(M), np.diag([1.0, 0.0]), atol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_zero_result_takes_shape_and_dtype_of_input(self, dtype):
+        P = matrixcore.pinv(np.zeros((2, 3), dtype=dtype))
+        assert P.shape == (3, 2) and P.dtype == dtype
+
+    def test_validates_its_argument_once(self, monkeypatch):
+        calls = []
+        orig = matrixcore.as_matrix
+        monkeypatch.setattr(
+            matrixcore, "as_matrix", lambda M, *a: calls.append(1) or orig(M, *a)
+        )
+        matrixcore.pinv(np.eye(3))
+        assert len(calls) == 1
+
+
+# Entries whose sums overflow, whose halves round, or whose sign is a zero's.
+_EXTREMES = [sign * x for sign in (1.0, -1.0) for x in (1.7976931348623157e308, 1e308, 5e-324, 0.0)]
+
+
+@st.composite
+def hermitian_matrices(draw, perturbed):
+    """Exactly Hermitian matrices with any finite entries, -0.0, subnormals
+    and values near the largest double included.  With `perturbed`, some
+    entries off the diagonal move by up to 1e-12 of the largest entry:
+    inside the 1e-10 Hermitian tolerance, but no longer exact, and with
+    signs that can differ from their mirrored entries."""
+    n = draw(st.integers(1, 4))
+    complex_entries = draw(st.booleans())
+    elements = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EXTREMES)
+    floats = hnp.arrays(np.float64, (n, n), elements=elements)
+    U = draw(floats) + 1j * draw(floats) if complex_entries else draw(floats)
+    M = U.copy()
+    below = np.tril_indices(n, -1)
+    M[below] = U.T[below].conj()
+    M[np.diag_indices(n)] = U.diagonal().real
+    if perturbed:
+        shift = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+        shift[draw(hnp.arrays(bool, (n, n)))] = 0.0
+        np.fill_diagonal(shift, 0.0)
+        largest = max(np.abs(M.real).max(), np.abs(M.imag).max())
+        with np.errstate(over="ignore"):
+            M = M + shift * (1e-12 * largest)
+        assume(np.isfinite(M).all())
+    return M
+
+
+def _parts(M):
+    return (M.real, M.imag) if np.iscomplexobj(M) else (M,)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+class TestHermitianPart:
+    """`require_hermitian` returns ``(M + M*) / 2`` with each real and
+    imaginary part rounded once, finite even where that sum overflows."""
+
+    @PROPERTY
+    @given(hermitian_matrices(perturbed=True))
+    def test_is_exactly_hermitian_mean(self, M):
+        H = matrixcore.require_hermitian(M)
+        assert np.isfinite(H).all()
+        assert np.array_equal(H, H.conj().T)
+        # Per part, since numpy's complex division by 2 does not keep the
+        # sign of a zero part; the parts of a real matrix are the matrix.
+        for h, m, mh in zip(_parts(H), _parts(M), _parts(M.conj().T)):
+            with np.errstate(over="ignore"):
+                mean = (m + mh) / 2
+            finite = np.isfinite(mean)
+            assert np.array_equal(_bits(h)[finite], _bits(mean)[finite])
+
+    @PROPERTY
+    @given(hermitian_matrices(perturbed=False))
+    def test_exactly_hermitian_input_unchanged(self, M):
+        H = matrixcore.require_hermitian(M)
+        for h, m in zip(_parts(H), _parts(M)):
+            assert np.array_equal(_bits(h), _bits(m))
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            np.array([[1e308, 5e-324], [5e-324, -0.0]]),
+            np.array([[5e307, 1e308 + 5e-324j], [1e308 - 5e-324j, -0.0]]),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_extreme_entries_unchanged(self, M):
+        H = matrixcore.require_hermitian(M)
+        for h, m in zip(_parts(H), _parts(M)):
+            assert np.array_equal(_bits(h), _bits(m))
+
+    def test_halves_of_an_overflowing_sum(self):
+        a, b = 1e308, 1e308 * (1 + 2.0**-40)
+        H = matrixcore.require_hermitian(np.array([[0.0, a], [b, 0.0]]))
+        assert H[0, 1] == H[1, 0] == a / 2 + b / 2
+
+
+class TestPsdEigh:
+    def test_returns_the_factored_hermitian_part(self):
+        rng = np.random.default_rng(110)
+        M = random_psd(rng, 4, 3)
+        M[1, 0] += 1e-13
+        H, w, Q = matrixcore.psd_eigh(M)
+        npt.assert_array_equal(H, matrixcore.require_hermitian(M))
+        npt.assert_allclose((Q * w) @ Q.conj().T, H, atol=1e-12)
+        assert np.all(np.diff(w) >= 0)
+
+    def test_overflowing_eigenvalue_raises(self):
+        # eigh gives the eigenvalues [0, inf] of this finite matrix.
+        with pytest.raises(NumericalError, match="overflow"):
+            matrixcore.psd_eigh(np.full((2, 2), 1e308))
+
+    def test_nan_eigenvalue_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda H: (np.array([np.nan, 1.0]), np.eye(2))
+        )
+        with pytest.raises(NumericalError):
+            matrixcore.psd_eigh(np.eye(2))
 
 
 # Malformed matrix files and the message each must raise, after the path.

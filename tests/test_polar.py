@@ -54,6 +54,13 @@ class TestKnownFactorizations:
         npt.assert_allclose(f.U, [[1.0], [0.0], [0.0]], atol=1e-14)
         npt.assert_allclose(f.H, [[2.0]], atol=1e-14)
 
+    def test_entries_near_the_largest_double(self):
+        # H + H* overflows here, though A and both factors are finite.
+        A = np.diag([1e308, 5e307])
+        f = generalized_polar(A)
+        npt.assert_array_equal(f.H, A)
+        assert verify_polar(A, f).max_residual < 1e-12
+
     def test_zero_matrix(self):
         f = generalized_polar(np.zeros((2, 3)))
         assert f.rank == 0

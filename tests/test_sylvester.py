@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from polarbounds import matrixcore
@@ -68,6 +69,35 @@ class TestStructuredProblem:
         p = structured_problem(A, np.eye(3), np.zeros((4, 3)), np.zeros((4, 3)))
         rebuilt = (p.eigenvectors_a * p.eigenvalues_a) @ p.eigenvectors_a.conj().T
         npt.assert_allclose(rebuilt, p.A, atol=1e-12)
+
+    def test_keeps_the_factored_hermitian_part(self):
+        rng = np.random.default_rng(303)
+        A = random_psd(rng, 3, 3)
+        A[2, 0] += 1e-12
+        p = structured_problem(A, np.eye(2), np.zeros((3, 2)), np.zeros((3, 2)))
+        npt.assert_array_equal(p.A, matrixcore.require_hermitian(A))
+        npt.assert_array_equal(p.A, p.A.conj().T)
+
+    def test_validates_each_argument_once(self, monkeypatch):
+        calls = []
+        orig = matrixcore.as_matrix
+        monkeypatch.setattr(
+            matrixcore, "as_matrix", lambda M, name: calls.append(name) or orig(M, name)
+        )
+        structured_problem(np.eye(3), np.eye(2), np.ones((3, 2)), np.ones((3, 2)))
+        assert sorted(calls) == ["A", "B", "C", "D"]
+
+    def test_coefficient_entries_near_the_largest_double(self):
+        # A + A* overflows here, though A and every eigenvalue are finite.
+        A, eye = np.diag([1e308, 5e307]), np.eye(2)
+        p = structured_problem(A, eye, eye, eye)
+        npt.assert_array_equal(p.A, A)
+        npt.assert_array_equal(solve_structured(p).X, eye)
+
+    def test_overflowing_eigenvalue_raises(self):
+        eye = np.eye(2)
+        with pytest.raises(NumericalError, match="overflow"):
+            structured_problem(np.full((2, 2), 1e308), eye, eye, eye)
 
 
 class TestSolveStructured:
@@ -338,3 +368,19 @@ class TestSpectralKernelProperties:
         X = solve_structured(structured_problem(A, B, C, D)).X
         npt.assert_allclose(X, expected, atol=atol)
         npt.assert_allclose(solve_general_hermitian(A, -B, S), expected, atol=atol)
+
+    @_PROPERTY
+    @given(conforming_data(cases=("full_rank",)))
+    def test_solvers_agree_with_bartels_stewart(self, data):
+        # scipy's Schur-based solver shares no code with the spectral kernel.
+        # The eigenvalues of A and B lie in [1, 10] times one scale each, so
+        # the operator X -> A X + X B has condition number at most 10, and
+        # both backward-stable solutions agree to a few hundred eps of
+        # ||X||_F; 1e-10 relative leaves room for that at n <= 4.
+        A, B, C, D = data
+        S = A @ C + D @ B
+        expected = scipy.linalg.solve_sylvester(A, B, S)
+        atol = 1e-10 * np.linalg.norm(expected)
+        X = solve_structured(structured_problem(A, B, C, D)).X
+        npt.assert_allclose(X, expected, rtol=0, atol=atol)
+        npt.assert_allclose(solve_general_hermitian(A, -B, S), expected, rtol=0, atol=atol)

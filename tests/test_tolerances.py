@@ -216,6 +216,21 @@ class TestSignatureCensus:
             "weighted_params_from_spectra", "write_matrix",
         ]
 
+    def test_experiment_config_fields(self):
+        names = [f.name for f in dataclasses.fields(polarbounds.ExperimentConfig)]
+        assert names == ["test", "trials", "seed", "size", "dist"]
+
+    def test_experiments_take_no_path(self):
+        # The drivers return values; only the CLI writes files.
+        offenders = [
+            (name, param)
+            for name, params in self._parameters()
+            if name.startswith("polarbounds.experiments.")
+            for param in params
+            if any(word in param for word in ("path", "file", "out"))
+        ]
+        assert offenders == []
+
     def test_perturbation_scenario_fields(self):
         names = [f.name for f in dataclasses.fields(polarbounds.PerturbationScenario)]
         assert names == [
