@@ -68,7 +68,8 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
     sum of the halves rounds the same way: a half is inexact only for a
     subnormal, far below the larger term's ulp.
     """
-    a, b = (np.ascontiguousarray(X).view(np.float64) for X in (M, M.conj().T))
+    a = np.ascontiguousarray(M).view(np.float64)
+    b = np.conjugate(M.T, order="C").view(np.float64)
     with np.errstate(over="ignore"):
         mean = (a + b) / 2
     big = np.isinf(mean)

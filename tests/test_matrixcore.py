@@ -159,7 +159,9 @@ class TestPinv:
 
 
 # Entries whose sums overflow, whose halves round, or whose sign is a zero's.
-_EXTREMES = [sign * x for sign in (1.0, -1.0) for x in (1.7976931348623157e308, 1e308, 5e-324, 0.0)]
+_EXTREMES = [
+    sign * x for sign in (1.0, -1.0) for x in (1.7976931348623157e308, 1e308, 5e-324, 0.0)
+]
 
 
 @st.composite
