@@ -6,10 +6,13 @@ and coarse spectral information about `A` and `B`:
 
 - a crude upper bound ``sqrt(||C||_F^2 + ||D||_F^2)``, optionally divided
   by a scale-free separation of the spectra of `A` and `-B`;
-- a midpoint enclosure ``(||C + D||_F -+ ||C - D||_F) / 2``;
-- a weighted enclosure with data-dependent coefficients `a`, `b`, `c`;
-- a symmetric enclosure that replaces the gap weight by a single factor
-  ``mu < 1`` derived from the worst conditioning of the two coefficients.
+- a weighted enclosure ``(||a C + b D||_F -+ c ||C - D||_F) / (a + b)``
+  with data-dependent coefficients `a`, `b`, `c`;
+- a symmetric enclosure, the weighted one at ``a = b = 1`` with a single
+  gap weight ``c = mu < 1`` derived from the worst conditioning of the two
+  coefficients;
+- a midpoint enclosure ``(||C + D||_F -+ ||C - D||_F) / 2``, the weighted
+  one at ``a = b = c = 1``.
 """
 
 from __future__ import annotations
@@ -119,12 +122,12 @@ def _pair(C, D) -> tuple[np.ndarray, np.ndarray]:
     return C[None], D[None]
 
 
-def _one_enclosure(kind: BoundKind, C, D, *coefficients) -> BoundPair:
-    """The enclosure of `kind` for one pair, as the one-row stacked form."""
+def _one_enclosure(kind: BoundKind, C, D, a: float, b: float, c: float) -> BoundPair:
+    """The enclosure at coefficients `a`, `b`, `c` for one pair, reported as
+    `kind`: the one-row case of :func:`_enclosures`."""
     C, D = _pair(C, D)
-    stacked = _weighted_enclosures if kind is BoundKind.WEIGHTED else _symmetric_enclosures
     diff = matrixcore._frobenius_norms(C - D)
-    lower, upper = stacked(C, D, diff, *(np.array([v]) for v in coefficients))
+    lower, upper = _enclosures(C, D, diff, *(np.array([v]) for v in (a, b, c)))
     return BoundPair(lower=float(lower[0]), upper=float(upper[0]), kind=kind)
 
 
@@ -215,19 +218,18 @@ def norm_sum_bound(C, D) -> float:
 def midpoint_bounds(C, D) -> BoundPair:
     """Enclosure ``(||C + D||_F -+ ||C - D||_F) / 2``, the symmetric
     enclosure at ``mu = 1``."""
-    return _one_enclosure(BoundKind.MIDPOINT, C, D, 1.0)
+    return _one_enclosure(BoundKind.MIDPOINT, C, D, 1.0, 1.0, 1.0)
 
 
 def _positive_extremes(w: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise smallest eigenvalue above the rank cutoff, and largest."""
-    largest = np.maximum(w.max(axis=1), 0.0)
-    pos = w > matrixcore.rank_cutoff((w.shape[1], w.shape[1]), largest)[:, None]
+    pos = matrixcore._above_cutoff(w)
     if not pos.any(axis=1).all():
         raise DomainError(
             f"{name} has no eigenvalue above the rank tolerance; "
             "bound coefficients need a nonzero matrix"
         )
-    return np.where(pos, w, np.inf).min(axis=1), largest
+    return np.where(pos, w, np.inf).min(axis=1), w.max(axis=1)
 
 
 def _stacked_params(spectra_a, spectra_b) -> tuple[WeightedBoundParams, SymmetricBoundParams]:
@@ -278,9 +280,14 @@ def weighted_bounds(C, D, params: WeightedBoundParams) -> BoundPair:
     return _one_enclosure(BoundKind.WEIGHTED, C, D, params.a, params.b, params.c)
 
 
-def _weighted_enclosures(C, D, diff, a, b, c) -> tuple[np.ndarray, np.ndarray]:
+def _enclosures(C, D, diff, a, b, c) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (lower, upper) of :func:`weighted_bounds` over stacks ``C[i]``,
-    ``D[i]``, ``diff[i] = ||C[i] - D[i]||_F`` and ``a[i]``, ``b[i]``, ``c[i]``."""
+    ``D[i]``, ``diff[i] = ||C[i] - D[i]||_F`` and ``a[i]``, ``b[i]``, ``c[i]``.
+
+    The symmetric and midpoint enclosures are the rows with ``a = b = 1``.
+    Scaling by 1 is exact, so those rows equal the ``||C + D||_F`` form bit
+    for bit.
+    """
     blend = matrixcore._frobenius_norms(a[:, None, None] * C + b[:, None, None] * D)
     gap = c * diff
     s = a + b
@@ -297,12 +304,4 @@ def symmetric_bounds(C, D, params: SymmetricBoundParams) -> BoundPair:
 
     Always at least as tight as the midpoint enclosure on both sides.
     """
-    return _one_enclosure(BoundKind.SYMMETRIC, C, D, params.mu)
-
-
-def _symmetric_enclosures(C, D, diff, mu) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (lower, upper) of :func:`symmetric_bounds` over stacks ``C[i]``,
-    ``D[i]``, ``diff[i] = ||C[i] - D[i]||_F`` and weights ``mu[i]``."""
-    s = matrixcore._frobenius_norms(C + D)
-    gap = mu * diff
-    return (s - gap) / 2.0, (s + gap) / 2.0
+    return _one_enclosure(BoundKind.SYMMETRIC, C, D, 1.0, 1.0, params.mu)

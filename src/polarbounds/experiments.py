@@ -308,8 +308,9 @@ def _tally_range(
     weighted, symmetric = bounds._stacked_params(wa, wb)
     ub_separation = bounds._separation_uppers(C, D, sep)
     diff = matrixcore._frobenius_norms(C - D)
-    _, ub_weighted = bounds._weighted_enclosures(C, D, diff, weighted.a, weighted.b, weighted.c)
-    _, ub_symmetric = bounds._symmetric_enclosures(C, D, diff, symmetric.mu)
+    _, ub_weighted = bounds._enclosures(C, D, diff, weighted.a, weighted.b, weighted.c)
+    ones = np.ones_like(symmetric.mu)
+    _, ub_symmetric = bounds._enclosures(C, D, diff, ones, ones, symmetric.mu)
     return (
         int(np.count_nonzero(ub_weighted <= ub_separation)),
         int(np.count_nonzero(ub_weighted <= ub_symmetric)),
@@ -376,7 +377,7 @@ def _sweep_trial(seed: int, si: int, size: int, ei: int, epsilon: float, trial: 
     D1 = np.eye(size) + epsilon * _complex_gaussian(rng, (size, size))
     D2 = np.eye(size) + epsilon * _complex_gaussian(rng, (size, size))
     scenario = perturb.make_scenario(A, D1, D2)
-    at_identity = scenario._report_11
+    at_identity = perturb.subunitary_bound(scenario)
     optimal_sub = perturb.subunitary_bound(scenario, perturb.SearchStrategy.OPTIMAL)
     optimal_psd = perturb.psd_factor_bound(scenario, perturb.SearchStrategy.OPTIMAL)
     row = SweepRow(

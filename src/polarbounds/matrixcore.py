@@ -51,9 +51,16 @@ def require_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def require_hermitian(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Check ``||M - M*||_F <= 1e-10 * ||M||_F``; return :func:`_hermitian_part` of `M`."""
+    """Check ``||M - M*||_F <= 1e-10 * ||M||_F``; return :func:`_hermitian_part` of `M`.
+
+    The check runs on `M` scaled by a power of two that brings its largest
+    part below 1, so neither norm overflows, and the scaling is exact but for
+    parts far below the tolerance that underflow.
+    """
     M = require_square(M, name)
-    if frobenius_norm(M - M.conj().T) > _HERMITIAN_RTOL * frobenius_norm(M):
+    parts = np.ascontiguousarray(M).view(np.float64)
+    S = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(M.dtype)
+    if frobenius_norm(S - S.conj().T) > _HERMITIAN_RTOL * frobenius_norm(S):
         raise DomainError(
             f"{name} is not Hermitian within relative tolerance {_HERMITIAN_RTOL:g}"
         )
@@ -80,6 +87,13 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
 def rank_cutoff(shape: tuple[int, int], largest: float) -> float:
     """Threshold at or below which singular values or PSD eigenvalues count as zero."""
     return max(shape) * _EPS * largest
+
+
+def _above_cutoff(w: np.ndarray) -> np.ndarray:
+    """Which PSD eigenvalues lie above the rank cutoff of their spectrum, for
+    each spectrum along the last axis of `w`; the others count as zero."""
+    p = w.shape[-1]
+    return w > rank_cutoff((p, p), np.maximum(w.max(axis=-1, keepdims=True), 0.0))
 
 
 def frobenius_norm(M) -> float:

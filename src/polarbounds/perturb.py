@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -92,7 +91,7 @@ class PerturbationScenario:
     d2_inv: np.ndarray
 
     @cached_property
-    def _forms(self) -> tuple[tuple[_AffineTerm, ...], tuple[_AffineTerm, ...]]:
+    def _forms(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         return _affine_form(self, _subunitary_matrices), _affine_form(self, _psd_matrices)
 
     @cached_property
@@ -130,9 +129,15 @@ class PolarPerturbReport:
     psd_clamped: bool
 
 
-def _pinv_norm(f: matrixcore.SvdFactors) -> float:
-    """Spectral norm of the pseudoinverse, under the SVD's rank decision."""
-    return 1.0 / float(f.sigma[f.rank - 1]) if f.rank else 0.0
+def _pinv_ratio(f: matrixcore.SvdFactors, norm: float) -> float:
+    """``||pinv(M)||_2 * norm`` from the SVD `f` of `M`, under its rank
+    decision: ``(1 / sigma_r) * norm``, or ``norm / sigma_r`` where the
+    reciprocal of a subnormal ``sigma_r`` overflows."""
+    if not f.rank:
+        return 0.0
+    sigma = float(f.sigma[f.rank - 1])
+    inverse = 1.0 / sigma
+    return inverse * norm if math.isfinite(inverse) else norm / sigma
 
 
 def _checked_inverse(D: np.ndarray, name: str) -> np.ndarray:
@@ -186,7 +191,7 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
     svd_a, svd_b = matrixcore.svd(A), matrixcore.svd(B)
     polar_a, polar_b = _polar_from_svd(svd_a), _polar_from_svd(svd_b)
     norm_a, norm_b = float(svd_a.sigma[0]), float(svd_b.sigma[0])
-    lam = max(_pinv_norm(svd_a) * norm_b, norm_a * _pinv_norm(svd_b), 1.0)
+    lam = max(_pinv_ratio(svd_a, norm_b), _pinv_ratio(svd_b, norm_a), 1.0)
     return PerturbationScenario(
         A=A,
         D1=D1,
@@ -240,29 +245,17 @@ def _psd_matrices(sc: PerturbationScenario, s, t):
     return t1, t2, t3
 
 
-class _AffineTerm(NamedTuple):
-    """A term matrix as a real-affine function of the step `x` from the
-    probe (1, 1): ``T(x) = base + sum_k x[k] coef[k]``, with `coef` holding
-    the four coefficient matrices flattened."""
-
-    base: np.ndarray
-    coef: np.ndarray
-
-    def at(self, x: np.ndarray) -> np.ndarray:
-        if not x.any():
-            return self.base
-        return self.base + (x @ self.coef).reshape(self.base.shape)
-
-
-def _affine_form(sc: PerturbationScenario, matrices) -> tuple[_AffineTerm, ...]:
+def _affine_form(sc: PerturbationScenario, matrices) -> tuple[np.ndarray, ...]:
     """The three terms of `matrices` in affine form, from one batched build.
 
     Each term matrix is affine in `s`, `conj(s)`, `t` and `conj(t)`, hence
     real-affine in ``x = (Re s - 1, Im s, Re t - 1, Im t)``: its value at
-    (1, 1) and its changes along the four unit steps determine it.
+    (1, 1) and its changes along the four unit steps determine it.  Each
+    term is a 5 x N array `G`: ``G[0]`` is the term matrix at (1, 1),
+    flattened, and ``G[1:]`` are the changes, so ``T(x) = G[0] + x @ G[1:]``.
     """
     return tuple(
-        _AffineTerm(T[0], (T[1:] - T[0]).reshape(4, -1))
+        np.concatenate((T[:1], T[1:] - T[0])).reshape(5, -1)
         for T in matrices(sc, _PROBE_S, _PROBE_T)
     )
 
@@ -270,7 +263,9 @@ def _affine_form(sc: PerturbationScenario, matrices) -> tuple[_AffineTerm, ...]:
 def _terms(sc: PerturbationScenario, family: int, s, t) -> tuple[float, float, float]:
     s, t = complex(s), complex(t)
     x = np.array([s.real - 1.0, s.imag, t.real - 1.0, t.imag])
-    t1, t2, t3 = (term.at(x) for term in sc._forms[family])
+    # Flattened to one row, each term has the entries of its matrix in the
+    # same order, so its norm is the same; at (1, 1) it is the built term.
+    t1, t2, t3 = (G[:1] + x @ G[1:] if x.any() else G[:1] for G in sc._forms[family])
     return (
         matrixcore.frobenius_norm(t1),
         matrixcore.frobenius_norm(t2),
@@ -336,29 +331,28 @@ def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
 
     Here ``x = (Re s - 1, Im s, Re t - 1, Im t)`` is the step from the probe
     (1, 1), and the terms are those of `family`, `t3` scaled by
-    ``1 / sqrt(lam + 1)``.  Each term matrix is ``T(0) + sum_k x_k C_k``
-    (see :func:`_affine_form`), so its squared norm is exactly the
-    quadratic form of ``Re(conj(G) G^T)``, where the rows of `G` are
-    ``T(0)`` and the ``C_k``, flattened.  `Q` is symmetric up to round-off.
+    ``1 / sqrt(lam + 1)``.  Each term is ``G[0] + x @ G[1:]`` (see
+    :func:`_affine_form`), so its squared norm is exactly the quadratic
+    form of ``Re(conj(G) G^T)``.  `Q` is symmetric up to round-off.
     Each entry sums ``6 n`` products of parts of the `G` (`n` their row
     length), weighted by at most 1: a largest ``|Q|`` within ``4^-200`` to
     ``4^200`` shows that no leading square overflowed or underflowed.
     Otherwise `Q` is formed again from the `G` scaled by
     :func:`_square_shift`, which divides it by a power of 4.
     """
-    rows = [np.vstack((t.base.ravel(), t.coef)) for t in sc._forms[family]]
+    rows = sc._forms[family]
     weights = (1.0, 1.0, -1.0 / (sc.lam + 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
         Q = _gram_sum(rows, weights)
     if not _SAFE_SQUARES[0] <= np.abs(Q).max() <= _SAFE_SQUARES[1]:
         shift = _square_shift(max(np.abs(G).max() for G in rows))
         if shift:
-            rows = [np.ldexp(G.view(np.float64), -shift).view(np.complex128) for G in rows]
+            rows = tuple(np.ldexp(G.view(np.float64), -shift).view(np.complex128) for G in rows)
             Q = _gram_sum(rows, weights)
     return Q
 
 
-def _gram_sum(rows: list[np.ndarray], weights: tuple[float, float, float]) -> np.ndarray:
+def _gram_sum(rows: tuple[np.ndarray, ...], weights: tuple[float, float, float]) -> np.ndarray:
     """``sum_i weights[i] * Re(conj(G_i) G_i^T)`` over the `G_i` in `rows`."""
     Q = np.zeros((5, 5))
     for G, weight in zip(rows, weights):
@@ -382,7 +376,7 @@ def _optimal_probe(sc: PerturbationScenario, family: int) -> tuple[complex, comp
     Q = _radicand_form(sc, family)
     H, g = Q[1:, 1:], Q[1:, 0]
     w, vecs = np.linalg.eigh(H)
-    kept = w > matrixcore.rank_cutoff(H.shape, max(float(w[-1]), 0.0))
+    kept = matrixcore._above_cutoff(w)
     basis = vecs[:, kept]
     x = -basis @ ((basis.T @ g) / w[kept])
     return 1 + complex(x[0], x[1]), 1 + complex(x[2], x[3])

@@ -85,11 +85,6 @@ class SylvesterSolution:
     range_conforming: bool
 
 
-def _positive_mask(w: np.ndarray) -> np.ndarray:
-    largest = max(float(w[-1]), 0.0)
-    return w > matrixcore.rank_cutoff((w.size, w.size), largest)
-
-
 def _sqrt_scales(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the square root and of its pseudoinverse.
 
@@ -99,7 +94,7 @@ def _sqrt_scales(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``sqrt(eps)``, and a round-off eigenvalue that slips through gets
     inverted into noise.
     """
-    pos = _positive_mask(w)
+    pos = matrixcore._above_cutoff(w)
     root = np.where(pos, np.sqrt(np.maximum(w, 0.0)), 0.0)
     inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=pos)
     return root, inv_root
@@ -111,7 +106,7 @@ def _conforms(w: np.ndarray, Q: np.ndarray, M: np.ndarray, side: str) -> bool:
     Measures ``||P M - M||_F`` (left) or ``||M P - M||_F`` (right) for the
     range projector `P` as the norm of `M` against the null eigenvectors.
     """
-    null = Q[:, ~_positive_mask(w)]
+    null = Q[:, ~matrixcore._above_cutoff(w)]
     if null.shape[1] == 0:  # full rank; the norm of an empty product is rejected
         return True
     resid = matrixcore.frobenius_norm(null.conj().T @ M if side == "left" else M @ null)
@@ -214,7 +209,7 @@ def solve_structured(problem: StructuredProblem) -> SylvesterSolution:
     wa, Qa = problem.eigenvalues_a, problem.eigenvectors_a
     wb, Qb = problem.eigenvalues_b, problem.eigenvectors_b
     S = problem.A @ problem.C + problem.D @ problem.B
-    keep = _positive_mask(wa)[:, None] & _positive_mask(wb)[None, :]
+    keep = matrixcore._above_cutoff(wa)[:, None] & matrixcore._above_cutoff(wb)[None, :]
     X, residual = _spectral_solve(problem.A, wa, Qa, problem.B, wb, Qb, S, keep)
     if not (residual <= _RESIDUAL_TOL):
         raise InconsistentSystemError(

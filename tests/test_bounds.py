@@ -134,8 +134,9 @@ class TestStackedForms:
         p, q = bounds_mod._stacked_params(rng.random((30, 3)), rng.random((30, 3)))
         ub_sep = bounds_mod._separation_uppers(C, D, sep)
         diff = matrixcore._frobenius_norms(C - D)
-        w_lo, w_up = bounds_mod._weighted_enclosures(C, D, diff, p.a, p.b, p.c)
-        s_lo, s_up = bounds_mod._symmetric_enclosures(C, D, diff, q.mu)
+        w_lo, w_up = bounds_mod._enclosures(C, D, diff, p.a, p.b, p.c)
+        ones = np.ones_like(q.mu)
+        s_lo, s_up = bounds_mod._enclosures(C, D, diff, ones, ones, q.mu)
         for row in range(30):
             c, d = C[row], D[row]
             w = weighted_bounds(
@@ -393,3 +394,40 @@ def test_computed_separation_is_accepted_by_the_bound(spectra):
         return
     assert 0.0 < sep <= math.sqrt(2.0) * (1.0 + 4.0 * np.finfo(float).eps)
     separation_bound(np.eye(1), np.zeros((1, 1)), sep)
+
+
+_QUARTER_MAX = float(np.finfo(np.float64).max) / 4.0
+# Signed zeros, subnormals, moderate values and values near DBL_MAX / 4.
+_EDGE_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]),
+    st.floats(-4.0, 4.0),
+    st.floats(0.9 * _QUARTER_MAX, _QUARTER_MAX),
+    st.floats(-_QUARTER_MAX, -0.9 * _QUARTER_MAX),
+)
+
+
+@st.composite
+def edge_stacks(draw):
+    """Stacks of real or complex data `C`, `D` and gap weights `mu`."""
+    k, m, n = (draw(st.integers(1, 3)) for _ in range(3))
+    complex_entries = draw(st.booleans())
+    shape = (k, m, 2 * n) if complex_entries else (k, m, n)
+    C, D = (draw(hnp.arrays(np.float64, shape, elements=_EDGE_PARTS)) for _ in range(2))
+    if complex_entries:
+        C, D = C.view(np.complex128), D.view(np.complex128)
+    mu = draw(hnp.arrays(np.float64, k, elements=st.floats(0.0, 1.0, exclude_max=True)))
+    return C, D, mu
+
+
+@PROPERTY
+@given(edge_stacks())
+def test_unit_weights_give_the_sum_form(data):
+    # The symmetric and midpoint enclosures are the kernel at a = b = 1.
+    C, D, mu = data
+    ones = np.ones_like(mu)
+    diff = matrixcore._frobenius_norms(C - D)
+    total = matrixcore._frobenius_norms(C + D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = bounds_mod._enclosures(C, D, diff, ones, ones, mu)
+        expected = ((total - mu * diff) / 2.0, (total + mu * diff) / 2.0)
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]

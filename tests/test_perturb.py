@@ -221,6 +221,18 @@ class TestExtremeScales:
             )
             assert psd.psd_bound == pytest.approx(c * psd1.psd_bound, rel=rel, abs=0.0)
 
+    def test_subnormal_a_keeps_lam_finite(self):
+        # At c = 1e-310 the smallest singular value is subnormal, and its
+        # reciprocal overflows.
+        sc1, base = self.reports(1e-300)
+        sc, scaled = self.reports(1e-310)
+        assert math.isfinite(sc.lam)
+        assert sc.lam == pytest.approx(sc1.lam, rel=1e-9)
+        at11, at11_base = scaled[SearchStrategy.AT_ONE_ONE], base[SearchStrategy.AT_ONE_ONE]
+        assert at11[1].psd_bound / 1e-310 == pytest.approx(
+            at11_base[1].psd_bound / 1e-300, rel=1e-9
+        )
+
     @pytest.mark.parametrize("c", [1e-170, 1e-160, 1e160])
     def test_bounds_stay_valid(self, c):
         _, reports = self.reports(c)

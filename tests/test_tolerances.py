@@ -2,8 +2,10 @@
 at every entry point that shares it, and a census of the public names and
 signatures so that a new export or tolerance parameter shows up in review."""
 
+import collections
 import dataclasses
 import inspect
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -58,6 +60,34 @@ class TestHermitianTolerance:
             sylvester.solve_general_hermitian(_asymmetric(2e-10), [[-1.0]], S)
 
 
+class TestHermitianCheckAtOverflow:
+    """The Hermitian check runs on a power-of-two scaled copy of its argument,
+    so it holds where ``||M||_F`` or ``||M - M*||_F`` overflows a double."""
+
+    @pytest.mark.parametrize("delta, accepted", [(0.5e-10, True), (2e-10, False)])
+    def test_threshold_where_the_norm_overflows(self, delta, accepted):
+        # ||M||_F = sqrt(3) * 1.5e308 overflows; the relative skew is
+        # delta * sqrt(2 / 3).
+        M = 1.5e308 * np.eye(3)
+        M[0, 1] = 1.5e308 * delta
+        if accepted:
+            matrixcore.require_hermitian(M, "A")
+        else:
+            with pytest.raises(DomainError, match="A is not Hermitian"):
+                matrixcore.require_hermitian(M, "A")
+
+    @pytest.mark.parametrize(
+        "M",
+        [[[1.5e308, 1e308], [0.0, 1.5e308]], [[0.0, 1e308], [-1e308, 0.0]]],
+        ids=["norm-overflows", "skew-overflows"],
+    )
+    def test_rejects_named_argument_without_warning(self, M):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="A is not Hermitian"):
+                matrixcore.require_hermitian(np.array(M), "A")
+
+
 class TestPsdTolerance:
     @pytest.mark.parametrize("entry", sorted(PSD_ENTRY_POINTS))
     def test_accepts_negative_eigenvalue_below_threshold(self, entry):
@@ -102,7 +132,8 @@ def _with_small_singular_value(shape, factor):
 
 
 class TestRankCutoff:
-    """A singular value counts as zero at or below ``max(m, n) * eps * sigma_max``."""
+    """A singular value or PSD eigenvalue counts as zero at or below
+    ``max(m, n) * eps * sigma_max``."""
 
     SHAPES = [(2, 2), (3, 2), (2, 4)]
 
@@ -133,6 +164,21 @@ class TestRankCutoff:
         perturbers[which] = _with_small_singular_value((2, 2), 2.0)
         with pytest.warns(RuntimeWarning, match=f"{which} has condition number"):
             perturb.make_scenario(np.eye(2), **perturbers)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0], ids=["below", "above"])
+    def test_psd_eigenvalue_in_range_flags(self, factor):
+        # The eigenvalues of a diagonal matrix are exact; the cutoff of
+        # diag(1, small) is 2 eps.
+        A = np.diag([1.0, factor * 2 * _EPS])
+        C = np.diag([0.0, 1.0])
+        problem = sylvester.structured_problem(A, np.eye(2), C, np.zeros((2, 2)))
+        assert problem.c_left_conforming is (factor > 1.0)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0], ids=["below", "above"])
+    def test_psd_eigenvalue_in_bound_params(self, factor):
+        small = factor * 2 * _EPS
+        params = bounds.weighted_params_from_spectra([1.0, small], [1.0, 1.0])
+        assert params.lambda1 == (1.0 / small if factor > 1.0 else 1.0)
 
 
 def _fix_residual(monkeypatch, value):
@@ -207,7 +253,7 @@ class TestSignatureCensus:
             "WeightedBoundParams", "__version__", "chen_li_sun_bound",
             "frobenius_norm", "generalized_polar", "hong_meng_zheng_bound",
             "make_scenario", "midpoint_bounds", "norm_sum_bound", "pinv",
-            "psd_factor_bound", "psd_terms", "read_matrix", "run_example",
+            "psd_eigh", "psd_factor_bound", "psd_terms", "read_matrix", "run_example",
             "run_montecarlo", "run_perturb_sweep", "separation_bound",
             "solve_general_hermitian", "solve_structured", "spectral_separation",
             "splitting_identity_residual", "structured_problem", "subunitary_bound",
@@ -215,6 +261,14 @@ class TestSignatureCensus:
             "symmetric_params_from_spectra", "verify_polar", "weighted_bounds",
             "weighted_params_from_spectra", "write_matrix",
         ]
+
+    def test_star_imports_cannot_shadow(self):
+        # The package star-imports each module and exports their __all__.
+        assert len(polarbounds.__all__) == len(set(polarbounds.__all__))
+        names = collections.Counter(
+            name for m in MODULES if m is not polarbounds for name in m.__all__
+        )
+        assert [name for name, count in names.items() if count > 1] == []
 
     def test_experiment_config_fields(self):
         names = [f.name for f in dataclasses.fields(polarbounds.ExperimentConfig)]
