@@ -200,11 +200,27 @@ def pinv(M) -> np.ndarray:
     not inverted, so the result is stable for rank-deficient input.
     Satisfies the four Penrose identities to round-off.
     """
-    f = svd(M)
+    return _pinv_from(svd(M))
+
+
+def _pinv_from(f: SvdFactors) -> np.ndarray:
+    """:func:`pinv` of the matrix whose SVD is `f`."""
     r = f.rank
     if r == 0:
         return np.zeros((f.Q.shape[0], f.P.shape[0]), dtype=f.P.dtype)
     return (f.Q[:, :r] / f.sigma[:r]) @ f.P[:, :r].conj().T
+
+
+def _eigh(H: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of the Hermitian `H`; :class:`NumericalError` if it
+    fails to converge or an eigenvalue overflows."""
+    try:
+        w, Q = np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("eigendecomposition failed to converge") from exc
+    if not np.isfinite(w).all():
+        raise NumericalError(f"an eigenvalue of {name} overflows the largest double")
+    return w, Q
 
 
 def psd_eigh(H, name: str = "H") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,12 +238,7 @@ def psd_eigh(H, name: str = "H") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         If the eigensolver fails to converge, or an eigenvalue overflows.
     """
     H = require_hermitian(H, name)
-    try:
-        w, Q = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("eigendecomposition failed to converge") from exc
-    if not np.isfinite(w).all():
-        raise NumericalError(f"an eigenvalue of {name} overflows the largest double")
+    w, Q = _eigh(H, name)
     scale = float(np.abs(w).max())
     if not (w[0] >= -_HERMITIAN_RTOL * scale):
         raise DomainError(

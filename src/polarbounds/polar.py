@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,11 +21,18 @@ class PolarFactors:
     the orthogonal projectors onto the ranges of ``A`` and ``A*``; `H`
     (n x n) is Hermitian PSD with the same rank as ``A``.  The pair is
     unique, independent of which SVD produced it.
+
+    Factors from :func:`generalized_polar` also keep, privately, the SVD of
+    ``A`` and a SHA-256 digest of the validated ``A`` it factored, so that
+    :func:`verify_polar` handed that same matrix does not factor it again.
+    They hold the two unitary SVD factors for as long as they live.
     """
 
     U: np.ndarray
     H: np.ndarray
     rank: int
+    _svd: matrixcore.SvdFactors | None = field(default=None, repr=False)
+    _digest: bytes | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -77,17 +85,31 @@ def generalized_polar(A) -> PolarFactors:
     `U` is the unique partial isometry with range equal to the range of
     `A` and corange equal to the range of ``A*``.
     """
-    return _polar_from_svd(matrixcore.svd(A))
+    M = matrixcore.as_matrix(A)
+    f = matrixcore.svd(M)
+    return _polar_from_svd(f, _svd=f, _digest=_digest(M))
 
 
-def _polar_from_svd(f: matrixcore.SvdFactors) -> PolarFactors:
-    """Polar factors from a full SVD and its rank decision."""
+def _digest(M: np.ndarray) -> bytes:
+    """SHA-256 over the shape, the dtype and the C-order bytes of `M`.
+
+    Signed zeros and the dtype count: ``-0.0`` for ``+0.0``, or the same
+    values as complex, give another digest and so another SVD.
+    """
+    h = hashlib.sha256(f"{M.shape} {M.dtype.str}".encode())
+    h.update(np.ascontiguousarray(M))
+    return h.digest()
+
+
+def _polar_from_svd(f: matrixcore.SvdFactors, **private) -> PolarFactors:
+    """Polar factors from a full SVD and its rank decision; `private` sets
+    the fields that only :func:`generalized_polar` fills."""
     r = f.rank
     U = f.P[:, :r] @ f.Q[:, :r].conj().T
     kept = np.zeros(f.Q.shape[0], dtype=np.float64)
     kept[:r] = f.sigma[:r]
     H = matrixcore._hermitian_part((f.Q * kept) @ f.Q.conj().T)
-    return PolarFactors(U=U, H=H, rank=r)
+    return PolarFactors(U=U, H=H, rank=r, **private)
 
 
 def verify_polar(A, factors: PolarFactors) -> PolarResiduals:
@@ -97,6 +119,13 @@ def verify_polar(A, factors: PolarFactors) -> PolarResiduals:
     projector residuals use ``pinv(A)`` under the rank cutoff of
     :func:`generalized_polar`.  This only reports; it never raises on a
     large residual.
+
+    ``pinv(A)`` comes from the SVD that :func:`generalized_polar` kept in
+    `factors` when the validated `A` has the digest of the matrix it
+    factored: the same shape, dtype and bytes.  Otherwise (hand-built
+    factors, `A` changed in place, or another matrix) it comes from a fresh
+    SVD of `A`.  The kept SVD is of `A` alone, so `U` and `H` are checked
+    as given either way.
     """
     A = matrixcore.as_matrix(A, "A")
     U, H = matrixcore.as_matrix(factors.U, "U"), matrixcore.as_matrix(factors.H, "H")
@@ -104,13 +133,15 @@ def verify_polar(A, factors: PolarFactors) -> PolarResiduals:
         raise DomainError(
             f"factor shapes {U.shape}, {H.shape} do not match A of shape {A.shape}"
         )
-    Ap = matrixcore.pinv(A)
+    kept = factors._svd is not None and _digest(A) == factors._digest
+    Ap = matrixcore._pinv_from(factors._svd) if kept else matrixcore.pinv(A)
     scale = 1.0 + matrixcore.frobenius_norm(A)
     Us = U.conj().T
+    UUs = U @ Us
     return PolarResiduals(
         factorization=matrixcore.frobenius_norm(A - U @ H) / scale,
-        partial_isometry=matrixcore.frobenius_norm(U @ Us @ U - U) / scale,
+        partial_isometry=matrixcore.frobenius_norm(UUs @ U - U) / scale,
         right_projector=matrixcore.frobenius_norm(Us @ U - Ap @ A) / scale,
-        left_projector=matrixcore.frobenius_norm(U @ Us - A @ Ap) / scale,
+        left_projector=matrixcore.frobenius_norm(UUs - A @ Ap) / scale,
         hermitian=matrixcore.frobenius_norm(H - H.conj().T) / scale,
     )

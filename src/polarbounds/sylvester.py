@@ -239,8 +239,10 @@ def solve_general_hermitian(Omega, Gamma, S) -> np.ndarray:
         If the spectra overlap (see :func:`bounds.spectral_separation`),
         so the solution is not unique.
     NumericalError
-        If the computed solution's scaled residual exceeds 1e-8, which
-        happens when the spectra are close enough to destroy precision.
+        If the eigensolver fails to converge on `Omega` or `Gamma`, or one
+        of their eigenvalues overflows, or if the computed solution's scaled
+        residual exceeds 1e-8, which happens when the spectra are close
+        enough to destroy precision.
     """
     Omega = matrixcore.require_hermitian(Omega, "Omega")
     Gamma = matrixcore.require_hermitian(Gamma, "Gamma")
@@ -249,8 +251,8 @@ def solve_general_hermitian(Omega, Gamma, S) -> np.ndarray:
         raise DomainError(
             f"S must be {Omega.shape[0]} x {Gamma.shape[0]}, got {S.shape}"
         )
-    wo, Qo = np.linalg.eigh(Omega)
-    wg, Qg = np.linalg.eigh(Gamma)
+    wo, Qo = matrixcore._eigh(Omega, "Omega")
+    wg, Qg = matrixcore._eigh(Gamma, "Gamma")
     _, overlap = bounds._spectral_separations(wo[None], wg[None])
     if overlap[0]:
         raise SpectralOverlapError(
@@ -304,8 +306,9 @@ def splitting_identity_residual(
     x_c, d_x = X - C, D - X
     # sqrt(A) = Qa diag(root_a) Qa* and so on, so by unitary invariance the
     # weighted terms are entrywise-scaled copies in the joint eigenbasis.
-    weighted_x_c = root_a[:, None] * (Qa.conj().T @ x_c @ Qb) * inv_root_b
-    weighted_d_x = inv_root_a[:, None] * (Qa.conj().T @ d_x @ Qb) * root_b
+    Qah = Qa.conj().T
+    weighted_x_c = root_a[:, None] * (Qah @ x_c @ Qb) * inv_root_b
+    weighted_d_x = inv_root_a[:, None] * (Qah @ d_x @ Qb) * root_b
     lhs = matrixcore.frobenius_norm(D - C) ** 2
     rhs = (
         matrixcore.frobenius_norm(d_x) ** 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from polarbounds import matrixcore
+from polarbounds import matrixcore, sylvester
 from polarbounds.exceptions import DomainError
-from polarbounds.polar import generalized_polar, verify_polar
+from polarbounds.polar import PolarFactors, generalized_polar, verify_polar
 from conftest import (
     INTEGER_DTYPES,
     PROPERTY,
@@ -15,6 +16,7 @@ from conftest import (
     gram_root,
     integer_matrix,
     rank_r_matrix,
+    structured_instance,
 )
 
 
@@ -149,6 +151,83 @@ class TestVerifyPolar:
             f_res.hermitian,
         ):
             assert value >= 0.0
+
+
+def _count_factorizations(monkeypatch, names=("svd", "eigh")) -> dict[str, int]:
+    """Count the calls of the named ``np.linalg`` functions from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _hand_built(f: PolarFactors) -> PolarFactors:
+    """The same factors without the kept SVD, so verify_polar takes its own."""
+    return PolarFactors(f.U, f.H, f.rank)
+
+
+def _acceptance_7_matrices():
+    """Every shape up to 6 x 6 at every rank, real and complex, as in
+    acceptance 7."""
+    rng = np.random.default_rng(207)
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for r in range(min(m, n) + 1):
+                for complex_entries in (False, True):
+                    yield rank_r_matrix(rng, m, n, r, complex_entries=complex_entries)
+
+
+class TestVerifyReusesTheSvd:
+    def test_one_svd_to_factor_and_verify(self, monkeypatch):
+        M = complex_gaussian(np.random.default_rng(206), (5, 3))
+        calls = _count_factorizations(monkeypatch)
+        verify_polar(M, generalized_polar(M))
+        assert calls == {"svd": 1, "eigh": 0}
+
+    def test_structured_chain_factors_three_times(self, monkeypatch):
+        # Two eigendecompositions of the coefficients, one SVD of X.
+        data = structured_instance(np.random.default_rng(208), 5, 4)
+        calls = _count_factorizations(monkeypatch)
+        X = sylvester.solve_structured(sylvester.structured_problem(*data)).X
+        assert verify_polar(X, generalized_polar(X)).max_residual < 1e-12
+        assert calls == {"svd": 1, "eigh": 2}
+
+    @pytest.mark.parametrize("change", ["in place", "negative zero", "complex copy"])
+    def test_a_changed_matrix_gets_a_fresh_svd(self, monkeypatch, change):
+        M = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.0]])
+        f = generalized_polar(M)
+        if change == "in place":
+            M[0, 0] = -3.0
+        elif change == "negative zero":
+            M[0, 2] = -0.0
+        else:
+            M = M.astype(np.complex128)
+        calls = _count_factorizations(monkeypatch)
+        got = verify_polar(M, f)
+        assert calls["svd"] == 1
+        assert got == verify_polar(M, _hand_built(f))
+        if change == "in place":
+            assert got.factorization > 0.1
+        else:
+            assert got.max_residual < 1e-12
+
+    def test_kept_svd_gives_the_residuals_of_a_fresh_one(self):
+        for M in _acceptance_7_matrices():
+            f = generalized_polar(M)
+            assert f._svd is not None
+            assert verify_polar(M, f) == verify_polar(M, _hand_built(f))
+
+    def test_replaced_factor_is_still_reported(self):
+        A = np.array([[0.0, 2.0], [0.0, 0.0]])
+        good = generalized_polar(A)
+        bad = dataclasses.replace(good, U=np.eye(2))
+        assert bad._svd is good._svd
+        res = verify_polar(A, bad)
+        assert res.max_residual > 1e-2
+        assert res == verify_polar(A, _hand_built(bad))
 
 
 @st.composite

@@ -205,6 +205,24 @@ class TestSolveGeneralHermitian:
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
             solve_general_hermitian(w, -w, 1e300 * np.ones((2, 2)))
 
+    @pytest.mark.parametrize("overflowing", ["Omega", "Gamma"])
+    def test_overflowing_eigenvalue_raises(self, overflowing):
+        # Both matrices are finite and Hermitian; the first has an eigenvalue
+        # near 2e308.
+        big, one = [[1.7e308, 1e308], [1e308, -1.7e308]], [[1.0]]
+        Omega, Gamma = (big, one) if overflowing == "Omega" else (one, big)
+        S = np.ones((len(Omega), len(Gamma)))
+        with pytest.raises(NumericalError, match=f"eigenvalue of {overflowing} overflows"):
+            solve_general_hermitian(Omega, Gamma, S)
+
+    def test_eigensolver_failure_raises(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(NumericalError, match="failed to converge"):
+            solve_general_hermitian([[2.0]], [[-1.0]], [[3.0]])
+
     def test_overlapping_spectra_rejected(self):
         with pytest.raises(SpectralOverlapError):
             solve_general_hermitian(np.diag([1.0, 2.0]), np.diag([2.0, 5.0]), np.eye(2))
