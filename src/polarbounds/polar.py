@@ -136,12 +136,15 @@ def verify_polar(A, factors: PolarFactors) -> PolarResiduals:
     kept = factors._svd is not None and _digest(A) == factors._digest
     Ap = matrixcore._pinv_from(factors._svd) if kept else matrixcore.pinv(A)
     scale = 1.0 + matrixcore.frobenius_norm(A)
-    Us = U.conj().T
-    UUs = U @ Us
+    # U U* serves two residuals. U* is not kept, and the one residual that
+    # needs it comes first, so beside pinv(A) and U U* at most two n x n
+    # temporaries are alive at once.
+    right_projector = matrixcore.frobenius_norm(U.conj().T @ U - Ap @ A) / scale
+    UUs = U @ U.conj().T
     return PolarResiduals(
         factorization=matrixcore.frobenius_norm(A - U @ H) / scale,
         partial_isometry=matrixcore.frobenius_norm(UUs @ U - U) / scale,
-        right_projector=matrixcore.frobenius_norm(Us @ U - Ap @ A) / scale,
+        right_projector=right_projector,
         left_projector=matrixcore.frobenius_norm(UUs - A @ Ap) / scale,
         hermitian=matrixcore.frobenius_norm(H - H.conj().T) / scale,
     )
