@@ -137,8 +137,8 @@ def verify_polar(A, factors: PolarFactors) -> PolarResiduals:
     Ap = matrixcore._pinv_from(factors._svd) if kept else matrixcore.pinv(A)
     scale = 1.0 + matrixcore.frobenius_norm(A)
     # U U* serves two residuals. U* is not kept, and the one residual that
-    # needs it comes first, so beside pinv(A) and U U* at most two n x n
-    # temporaries are alive at once.
+    # needs it comes first, so beside pinv(A) and U U* at most two
+    # matrix-sized temporaries are alive at once.
     right_projector = matrixcore.frobenius_norm(U.conj().T @ U - Ap @ A) / scale
     UUs = U @ U.conj().T
     return PolarResiduals(

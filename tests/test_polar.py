@@ -214,6 +214,15 @@ class TestVerifyReusesTheSvd:
         else:
             assert got.max_residual < 1e-12
 
+    def test_the_same_bytes_in_another_shape_get_a_fresh_svd(self):
+        # [[3, 0], [1, 0]] and [[3 + 0j], [1 + 0j]] share their bytes; the
+        # factors of the second carry the SVD kept for the first.
+        M = np.array([[3.0, 0.0], [1.0, 0.0]])
+        Mc = M.view(np.complex128)
+        fc = generalized_polar(Mc)
+        moved = dataclasses.replace(generalized_polar(M), U=fc.U, H=fc.H, rank=fc.rank)
+        assert verify_polar(Mc, moved) == verify_polar(Mc, _hand_built(fc))
+
     def test_kept_svd_gives_the_residuals_of_a_fresh_one(self):
         for M in _acceptance_7_matrices():
             f = generalized_polar(M)
