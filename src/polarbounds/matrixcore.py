@@ -187,8 +187,7 @@ def svd(M) -> SvdFactors:
         P, sigma, Qh = np.linalg.svd(M, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("SVD failed to converge") from exc
-    largest = float(sigma[0]) if sigma.size else 0.0
-    cutoff = rank_cutoff(M.shape, largest)
+    cutoff = rank_cutoff(M.shape, float(sigma[0]))
     rank = int(np.count_nonzero(sigma > cutoff))
     return SvdFactors(P=P, sigma=sigma, Q=Qh.conj().T, rank=rank)
 
@@ -206,8 +205,6 @@ def pinv(M) -> np.ndarray:
 def _pinv_from(f: SvdFactors) -> np.ndarray:
     """:func:`pinv` of the matrix whose SVD is `f`."""
     r = f.rank
-    if r == 0:
-        return np.zeros((f.Q.shape[0], f.P.shape[0]), dtype=f.P.dtype)
     return (f.Q[:, :r] / f.sigma[:r]) @ f.P[:, :r].conj().T
 
 

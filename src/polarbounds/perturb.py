@@ -43,10 +43,6 @@ __all__ = [
 ]
 
 _COND_WARN = 1e12
-# Numbers whose binary exponent lies within +-_SAFE_EXPONENT are squared as
-# they are: no square of them overflows or underflows.
-_SAFE_EXPONENT = 200
-_SAFE_SQUARES = (math.ldexp(1.0, -2 * _SAFE_EXPONENT), math.ldexp(1.0, 2 * _SAFE_EXPONENT))
 # The probe (1, 1) and its four unit steps along x = (Re s - 1, Im s,
 # Re t - 1, Im t), shaped so one term-matrix build evaluates all five.
 _PROBE_S = np.array([1, 2, 1 + 1j, 1, 1], dtype=np.complex128).reshape(5, 1, 1)
@@ -264,8 +260,9 @@ def _terms(sc: PerturbationScenario, family: int, s, t) -> tuple[float, float, f
     s, t = complex(s), complex(t)
     x = np.array([s.real - 1.0, s.imag, t.real - 1.0, t.imag])
     # Flattened to one row, each term has the entries of its matrix in the
-    # same order, so its norm is the same; at (1, 1) it is the built term.
-    t1, t2, t3 = (G[:1] + x @ G[1:] if x.any() else G[:1] for G in sc._forms[family])
+    # same order, so its norm is the same.  At (1, 1) the step adds exact
+    # zeros, so the term is the built one.
+    t1, t2, t3 = (G[:1] + x @ G[1:] for G in sc._forms[family])
     return (
         matrixcore.frobenius_norm(t1),
         matrixcore.frobenius_norm(t2),
@@ -290,24 +287,18 @@ def psd_terms(
     return _terms(scenario, 1, s, t)
 
 
-def _square_shift(largest: float) -> int:
-    """The power of two to divide numbers up to `largest` by before squaring
-    them: 0 in the safe range, else the `frexp` exponent of `largest`."""
-    e = math.frexp(largest)[1]
-    return e if abs(e) > _SAFE_EXPONENT else 0
-
-
 def _combine(terms: tuple[float, float, float]) -> tuple[float, bool]:
     """``sqrt(t1^2 + t2^2 - t3^2)`` and whether a negative radicand was
-    clamped to zero.  The terms are squared after the exact scaling of
-    :func:`_square_shift`.  An infinite `t3` leaves the radicand's sign
-    unknown: the result is NaN, never a clamp to zero."""
+    clamped to zero.  The terms are squared after division by ``2^e``, `e`
+    the `frexp` exponent of the largest, so no square overflows; the division
+    is exact but for terms far below the largest that underflow.  An infinite
+    `t3` leaves the radicand's sign unknown: the result is NaN, never a clamp
+    to zero."""
     t1, t2, t3 = terms
     if math.isinf(t3):
         return math.nan, False
-    e = _square_shift(max(terms))
-    if e:
-        t1, t2, t3 = math.ldexp(t1, -e), math.ldexp(t2, -e), math.ldexp(t3, -e)
+    e = math.frexp(max(terms))[1]
+    t1, t2, t3 = math.ldexp(t1, -e), math.ldexp(t2, -e), math.ldexp(t3, -e)
     radicand = t1 * t1 + t2 * t2 - t3 * t3
     if radicand < 0.0:
         return 0.0, True
@@ -327,35 +318,23 @@ def _report_at(scenario: PerturbationScenario, s: complex, t: complex) -> PolarP
 
 
 def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
-    """Real 5 x 5 `Q` with ``t1^2 + t2^2 - t3^2 = [1; x]^T Q [1; x]``.
+    """Real 5 x 5 `Q` with ``4^-e (t1^2 + t2^2 - t3^2) = [1; x]^T Q [1; x]``.
 
     Here ``x = (Re s - 1, Im s, Re t - 1, Im t)`` is the step from the probe
     (1, 1), and the terms are those of `family`, `t3` scaled by
     ``1 / sqrt(lam + 1)``.  Each term is ``G[0] + x @ G[1:]`` (see
     :func:`_affine_form`), so its squared norm is exactly the quadratic
-    form of ``Re(conj(G) G^T)``.  `Q` is symmetric up to round-off.
-    Each entry sums ``6 n`` products of parts of the `G` (`n` their row
-    length), weighted by at most 1: a largest ``|Q|`` within ``4^-200`` to
-    ``4^200`` shows that no leading square overflowed or underflowed.
-    Otherwise `Q` is formed again from the `G` scaled by
-    :func:`_square_shift`, which divides it by a power of 4.
+    form of ``Re(conj(G) G^T)``.  Each `G` is first divided by ``2^e``, `e`
+    the `frexp` exponent of the largest real or imaginary part of the three,
+    as :func:`_combine` divides its terms; ``4^e`` does not move the
+    minimizer of `Q`.  `Q` is symmetric up to round-off.
     """
     rows = sc._forms[family]
+    e = math.frexp(max(np.abs(G.view(np.float64)).max() for G in rows))[1]
     weights = (1.0, 1.0, -1.0 / (sc.lam + 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        Q = _gram_sum(rows, weights)
-    if not _SAFE_SQUARES[0] <= np.abs(Q).max() <= _SAFE_SQUARES[1]:
-        shift = _square_shift(max(np.abs(G).max() for G in rows))
-        if shift:
-            rows = tuple(np.ldexp(G.view(np.float64), -shift).view(np.complex128) for G in rows)
-            Q = _gram_sum(rows, weights)
-    return Q
-
-
-def _gram_sum(rows: tuple[np.ndarray, ...], weights: tuple[float, float, float]) -> np.ndarray:
-    """``sum_i weights[i] * Re(conj(G_i) G_i^T)`` over the `G_i` in `rows`."""
     Q = np.zeros((5, 5))
     for G, weight in zip(rows, weights):
+        G = np.ldexp(G.view(np.float64), -e).view(np.complex128)
         Q += weight * (G.conj() @ G.T).real
     return Q
 
@@ -370,8 +349,8 @@ def _optimal_probe(sc: PerturbationScenario, family: int) -> tuple[complex, comp
     count as zero.  Along flat directions this keeps the probe at (1, 1),
     where the terms are the built matrices themselves, with no round-off
     from the affine steps; the PSD terms, for one, do not depend on `t` at
-    all in exact arithmetic.  `Q` may be scaled by a power of 4, which does
-    not move its minimizer.
+    all in exact arithmetic.  `Q` is scaled by a power of 4, which does not
+    move its minimizer.
     """
     Q = _radicand_form(sc, family)
     H, g = Q[1:, 1:], Q[1:, 0]

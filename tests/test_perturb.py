@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -190,12 +191,25 @@ EPS = np.finfo(np.float64).eps
 class TestExtremeScales:
     """Scaling `A` by `c` scales the PSD factor, its change and its bounds by
     `c` and leaves the subunitary ones as they are.  At these `c` the squared
-    terms would underflow or overflow; the bounds are squared only after an
-    exact power-of-two scaling."""
+    terms would underflow or overflow unscaled; every bound and every probe
+    quadratic squares its terms after an exact power-of-two scaling, at any
+    `c`, so none of them does."""
 
     A = np.array([[1.0, 0.5], [0.0, 2.0]])
     D1 = np.array([[1.01, 0.02], [-0.01, 0.99]])
     D2 = np.array([[0.98, 0.01], [0.03, 1.02]])
+    # The repr of the subunitary and the PSD bound at (1, 1), of both at the
+    # optimal probe, and of hong_meng_zheng_bound, for c A.
+    GOLDEN = {
+        1e-310: ("0.06253531611464161", "1.080603621717e-311", "0.051606758673567225",
+                 "1.076426849251e-311", "1.791261651727e-311"),
+        1e-170: ("0.06253531611464079", "1.0806036217169622e-171", "0.05160675867352768",
+                 "1.076426849251203e-171", "1.791261651726744e-171"),
+        1e160: ("0.06253531611464078", "1.080603621716962e+159", "0.051606758673527806",
+                "1.0764268492512029e+159", "1.791261651726744e+159"),
+        1e307: ("0.06253531611464079", "1.0806036217169622e+306", "0.05160675867352768",
+                "1.076426849251203e+306", "1.791261651726744e+306"),
+    }
 
     def reports(self, c):
         sc = make_scenario(c * self.A, self.D1, self.D2)
@@ -220,6 +234,16 @@ class TestExtremeScales:
                 sub1.subunitary_bound, rel=rel, abs=0.0
             )
             assert psd.psd_bound == pytest.approx(c * psd1.psd_bound, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("c", sorted(GOLDEN))
+    def test_golden_reports(self, c):
+        sc, reports = self.reports(c)
+        got = [
+            repr(bound)
+            for sub, psd in reports.values()
+            for bound in (sub.subunitary_bound, psd.psd_bound)
+        ]
+        assert (*got, repr(hong_meng_zheng_bound(sc))) == self.GOLDEN[c]
 
     def test_subnormal_a_keeps_lam_finite(self):
         # At c = 1e-310 the smallest singular value is subnormal, and its
@@ -293,7 +317,11 @@ class TestOptimalProbe:
         terms, _, _, _ = BOUND_KINDS[kind]
         rng = np.random.default_rng(514)
         for sc in self.scenarios():
-            Q = perturb_mod._radicand_form(sc, ("subunitary", "psd").index(kind))
+            family = ("subunitary", "psd").index(kind)
+            # Q comes divided by 4^e, e the exponent of the largest part.
+            parts = (G.view(np.float64) for G in sc._forms[family])
+            e = math.frexp(max(np.abs(G).max() for G in parts))[1]
+            Q = 4.0**e * perturb_mod._radicand_form(sc, family)
             for x in 2.0 * rng.standard_normal((20, 4)):
                 # x is the step from the probe (1, 1).
                 t1, t2, t3 = terms(sc, 1 + complex(x[0], x[1]), 1 + complex(x[2], x[3]))
@@ -415,3 +443,40 @@ def test_integer_data_give_the_float64_results(data):
     for strategy in (SearchStrategy.AT_ONE_ONE, SearchStrategy.OPTIMAL):
         assert subunitary_bound(as_int, strategy) == subunitary_bound(as_float, strategy)
         assert psd_factor_bound(as_int, strategy) == psd_factor_bound(as_float, strategy)
+
+
+def term_values(low, high):
+    """Strategy for 0 and for doubles whose `frexp` exponent lies in [low, high]."""
+    mantissas = st.floats(0.5, 1.0, exclude_max=True)
+    return st.just(0.0) | st.builds(math.ldexp, mantissas, st.integers(low, high))
+
+
+@PROPERTY
+@given(st.tuples(*[term_values(-200, 200)] * 3), st.data())
+def test_combine_is_the_plain_formula_and_commutes_with_powers_of_two(terms, data):
+    t1, t2, t3 = terms
+    radicand = t1 * t1 + t2 * t2 - t3 * t3
+    plain = (0.0, True) if radicand < 0.0 else (math.sqrt(radicand), False)
+    assert perturb_mod._combine(terms) == plain
+    # Any shift that keeps every nonzero term a normal double.
+    exponents = [math.frexp(t)[1] for t in terms if t] or [0]
+    k = data.draw(st.integers(-1021 - min(exponents), 1024 - max(exponents)))
+    shifted = tuple(math.ldexp(t, k) for t in terms)
+    bound, clamped = plain
+    assert perturb_mod._combine(shifted) == (math.ldexp(bound, k), clamped)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5), st.booleans())
+def test_optimal_probe_ignores_a_power_of_two_on_the_forms(seed, m, n, complex_entries):
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng, m, n, eps=0.1, complex_entries=complex_entries)
+    for family in (0, 1):
+        probe = perturb_mod._optimal_probe(sc, family)
+        for k in (-400, -150, 150, 400):
+            scaled = dataclasses.replace(sc)
+            vars(scaled)["_forms"] = tuple(
+                tuple(np.ldexp(G.view(np.float64), k).view(np.complex128) for G in rows)
+                for rows in sc._forms
+            )
+            assert perturb_mod._optimal_probe(scaled, family) == probe

@@ -180,6 +180,28 @@ def _acceptance_7_matrices():
                     yield rank_r_matrix(rng, m, n, r, complex_entries=complex_entries)
 
 
+def _near_cutoff_matrices():
+    """Matrices of full rank `r` but for their smallest singular value, set
+    at 0.5 and 2 times the rank cutoff, with the rank `svd` should give:
+    ``r - 1`` and ``r``."""
+    rng = np.random.default_rng(209)
+
+    def unitary(k, complex_entries):
+        G = rank_r_matrix(rng, k, k, k, complex_entries)
+        return np.linalg.qr(G)[0]
+
+    for m, n in [(3, 3), (4, 2), (2, 5), (5, 3), (6, 6)]:
+        for complex_entries in (False, True):
+            for factor, rank_lost in ((0.5, 1), (2.0, 0)):
+                r = min(m, n)
+                sigma = np.linspace(1.0, 0.5, r)
+                sigma[-1] = factor * matrixcore.rank_cutoff((m, n), 1.0)
+                S = np.zeros((m, n))
+                S[:r, :r] = np.diag(sigma)
+                P, Q = unitary(m, complex_entries), unitary(n, complex_entries)
+                yield P @ S @ Q.conj().T, r - rank_lost
+
+
 class TestVerifyReusesTheSvd:
     def test_one_svd_to_factor_and_verify(self, monkeypatch):
         M = complex_gaussian(np.random.default_rng(206), (5, 3))
@@ -227,6 +249,11 @@ class TestVerifyReusesTheSvd:
         for M in _acceptance_7_matrices():
             f = generalized_polar(M)
             assert f._svd is not None
+            assert verify_polar(M, f) == verify_polar(M, _hand_built(f))
+        # Residuals reach 5e-2 here, where the rank decision is close.
+        for M, rank in _near_cutoff_matrices():
+            f = generalized_polar(M)
+            assert f.rank == rank
             assert verify_polar(M, f) == verify_polar(M, _hand_built(f))
 
     def test_replaced_factor_is_still_reported(self):
