@@ -191,9 +191,9 @@ def _near_cutoff_matrices():
         return np.linalg.qr(G)[0]
 
     for m, n in [(3, 3), (4, 2), (2, 5), (5, 3), (6, 6)]:
+        r = min(m, n)
         for complex_entries in (False, True):
             for factor, rank_lost in ((0.5, 1), (2.0, 0)):
-                r = min(m, n)
                 sigma = np.linspace(1.0, 0.5, r)
                 sigma[-1] = factor * matrixcore.rank_cutoff((m, n), 1.0)
                 S = np.zeros((m, n))
