@@ -260,9 +260,10 @@ def _terms(sc: PerturbationScenario, family: int, s, t) -> tuple[float, float, f
     s, t = complex(s), complex(t)
     x = np.array([s.real - 1.0, s.imag, t.real - 1.0, t.imag])
     # Flattened to one row, each term has the entries of its matrix in the
-    # same order, so its norm is the same.  At (1, 1) the step adds exact
-    # zeros, so the term is the built one.
-    t1, t2, t3 = (G[:1] + x @ G[1:] for G in sc._forms[family])
+    # same order, so its norm is the same.  At (1, 1) the term is the built
+    # one: the step is skipped, because a step row that overflowed to an
+    # infinity would add 0 * inf = NaN.
+    t1, t2, t3 = (G[:1] + x @ G[1:] if x.any() else G[:1] for G in sc._forms[family])
     return (
         matrixcore.frobenius_norm(t1),
         matrixcore.frobenius_norm(t2),

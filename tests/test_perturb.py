@@ -245,6 +245,22 @@ class TestExtremeScales:
         ]
         assert (*got, repr(hong_meng_zheng_bound(sc))) == self.GOLDEN[c]
 
+    @pytest.mark.parametrize(
+        "A, D1, D2, golden",
+        [
+            (1e308 * np.eye(2), np.eye(2), np.eye(2), ("0.0", "0.0")),
+            (8e307 * A, D1, D2, ("0.06253531611464079", "8.644828973735698e+306")),
+        ],
+        ids=["1e308-I", "8e307-A"],
+    )
+    def test_overflowing_steps_leave_the_bounds_at_one_one(self, A, D1, D2, golden):
+        # 2 sigma_max(A) overflows, so the PSD term steps hold infinities;
+        # at (1, 1) the terms are the built matrices, which are finite.
+        sc = make_scenario(A, D1, D2)
+        with np.errstate(over="ignore"):
+            got = (subunitary_bound(sc).subunitary_bound, psd_factor_bound(sc).psd_bound)
+        assert tuple(map(repr, got)) == golden
+
     def test_subnormal_a_keeps_lam_finite(self):
         # At c = 1e-310 the smallest singular value is subnormal, and its
         # reciprocal overflows.
