@@ -325,17 +325,18 @@ def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
     (1, 1), and the terms are those of `family`, `t3` scaled by
     ``1 / sqrt(lam + 1)``.  Each term is ``G[0] + x @ G[1:]`` (see
     :func:`_affine_form`), so its squared norm is exactly the quadratic
-    form of ``Re(conj(G) G^T)``.  Each `G` is first divided by ``2^e``, `e`
-    the `frexp` exponent of the largest real or imaginary part of the three,
-    as :func:`_combine` divides its terms; ``4^e`` does not move the
-    minimizer of `Q`.  `Q` is symmetric up to round-off.
+    form of ``Re(conj(G) G^T)``.  The three `G`, which have the same shape,
+    are stacked and first divided by ``2^e``, `e` the `frexp` exponent of
+    their largest real or imaginary part, as :func:`_combine` divides its
+    terms; ``4^e`` does not move the minimizer of `Q`.  `Q` is symmetric
+    up to round-off.
     """
-    rows = sc._forms[family]
-    e = math.frexp(max(np.abs(G.view(np.float64)).max() for G in rows))[1]
+    parts = np.concatenate(sc._forms[family]).view(np.float64)
+    e = math.frexp(np.abs(parts).max())[1]
+    rows = np.ldexp(parts, -e).view(np.complex128).reshape(3, 5, -1)
     weights = (1.0, 1.0, -1.0 / (sc.lam + 1.0))
     Q = np.zeros((5, 5))
     for G, weight in zip(rows, weights):
-        G = np.ldexp(G.view(np.float64), -e).view(np.complex128)
         Q += weight * (G.conj() @ G.T).real
     return Q
 
