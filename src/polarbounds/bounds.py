@@ -9,7 +9,7 @@ and coarse spectral information about `A` and `B`:
 - a weighted enclosure ``(||a C + b D||_F -+ c ||C - D||_F) / (a + b)``
   with data-dependent coefficients `a`, `b`, `c`;
 - a symmetric enclosure, the weighted one at ``a = b = 1`` with a single
-  gap weight ``c = mu < 1`` derived from the worst conditioning of the two
+  gap weight ``c = mu <= 1`` derived from the worst conditioning of the two
   coefficients;
 - a midpoint enclosure ``(||C + D||_F -+ ||C - D||_F) / 2``, the weighted
   one at ``a = b = c = 1``.
@@ -83,8 +83,8 @@ class WeightedBoundParams:
 
 @dataclass(frozen=True)
 class SymmetricBoundParams:
-    """Single gap weight ``mu = sqrt((lam - 1)/(lam + 1)) < 1`` where
-    ``lam = max(lambda1, lambda2)``; arrays in the stacked forms."""
+    """Single gap weight ``mu = sqrt((lam - 1)/(lam + 1))``, below 1 unless
+    ``lam = max(lambda1, lambda2, 1)`` overflows; arrays in the stacked forms."""
 
     lam: float
     mu: float
@@ -221,8 +221,10 @@ def midpoint_bounds(C, D) -> BoundPair:
     return _one_enclosure(BoundKind.MIDPOINT, C, D, 1.0, 1.0, 1.0)
 
 
-def _positive_extremes(w: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise smallest eigenvalue above the rank cutoff, and largest."""
+def _kept_extremes(spectra, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise smallest eigenvalue above the rank cutoff, and largest, of
+    the stack `spectra` of the PSD matrix `name`."""
+    w = _real_spectra(spectra, f"spectra_{name.lower()}")
     pos = matrixcore._above_cutoff(w)
     if not pos.any(axis=1).all():
         raise DomainError(
@@ -232,29 +234,36 @@ def _positive_extremes(w: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray
     return np.where(pos, w, np.inf).min(axis=1), w.max(axis=1)
 
 
+def _lambdas(min_a, max_a, min_b, max_b):
+    """``lambda1 = ||pinv(A)||_2 ||B||_2``, ``lambda2 = ||A||_2 ||pinv(B)||_2``
+    and ``lam = max(lambda1, lambda2, 1)``, elementwise, from the smallest
+    kept and the largest singular values of `A` and `B`: the one rule of the
+    enclosures and the perturbation bounds.  Each ratio is ``(1 / min) * max``,
+    or ``max / min`` where the reciprocal of a subnormal `min` overflows; a
+    `min` of ``inf`` (rank 0) gives 0."""
+    lo, hi = np.array((min_a, min_b)), np.array((max_b, max_a))
+    with np.errstate(over="ignore"):
+        inverse = 1.0 / lo
+        ratios = np.where(np.isfinite(inverse), inverse * hi, hi / lo)
+    return ratios[0], ratios[1], np.maximum(ratios.max(axis=0), 1.0)
+
+
 def _stacked_params(spectra_a, spectra_b) -> tuple[WeightedBoundParams, SymmetricBoundParams]:
     """Weighted and symmetric parameters for stacks of PSD spectra.
 
     Row ``i`` of `spectra_a` and `spectra_b` holds the spectra of one pair
     `A`, `B`.  :func:`weighted_params_from_spectra` and
-    :func:`symmetric_params_from_spectra` are the one-row case.
+    :func:`symmetric_params_from_spectra` are the one-row case.  The ratios
+    come from :func:`_lambdas`; where `lam` is infinite, `mu` is its limit 1,
+    to which ``(lam - 1) / (lam + 1)`` rounds at the largest double.
     """
-    wa = _real_spectra(spectra_a, "spectra_a")
-    wb = _real_spectra(spectra_b, "spectra_b")
-    min_a, max_a = _positive_extremes(wa, "A")
-    min_b, max_b = _positive_extremes(wb, "B")
-    lambda1 = (1.0 / min_a) * max_b
-    lambda2 = max_a * (1.0 / min_b)
-    lam = np.maximum(np.maximum(lambda1, lambda2), 1.0)
+    l1, l2, lam = _lambdas(*_kept_extremes(spectra_a, "A"), *_kept_extremes(spectra_b, "B"))
+    capped = np.minimum(lam, np.finfo(np.float64).max)
+    with np.errstate(over="ignore"):
+        c = np.sqrt(np.maximum(0.0, 1.0 - 1.0 / (l1 * l2)))
     return (
-        WeightedBoundParams(
-            lambda1=lambda1,
-            lambda2=lambda2,
-            a=1.0 + 1.0 / lambda1,
-            b=1.0 + 1.0 / lambda2,
-            c=np.sqrt(np.maximum(0.0, 1.0 - 1.0 / (lambda1 * lambda2))),
-        ),
-        SymmetricBoundParams(lam=lam, mu=np.sqrt((lam - 1.0) / (lam + 1.0))),
+        WeightedBoundParams(lambda1=l1, lambda2=l2, a=1.0 + 1.0 / l1, b=1.0 + 1.0 / l2, c=c),
+        SymmetricBoundParams(lam=lam, mu=np.sqrt((capped - 1.0) / (capped + 1.0))),
     )
 
 
@@ -300,7 +309,7 @@ def symmetric_params_from_spectra(spectrum_a, spectrum_b) -> SymmetricBoundParam
 
 
 def symmetric_bounds(C, D, params: SymmetricBoundParams) -> BoundPair:
-    """Enclosure ``(||C + D||_F -+ mu ||C - D||_F) / 2`` with ``mu < 1``.
+    """Enclosure ``(||C + D||_F -+ mu ||C - D||_F) / 2`` with ``mu <= 1``.
 
     Always at least as tight as the midpoint enclosure on both sides.
     """

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import matrixcore
+from . import bounds, matrixcore
 from .exceptions import DomainError, NumericalError
 from .polar import PolarFactors, _polar_from_svd
 
@@ -65,13 +65,12 @@ class PerturbationScenario:
     `A` is m x n, `D1` (m x m) and `D2` (n x n) are nonsingular, and
     ``B = D1* A D2``.  `polar_a` and `polar_b` hold the generalized polar
     factors of `A` and `B`; their subunitary factors are written `U` and
-    `V` in the term formulas.  `lam` is
-    ``max(||pinv(A)||_2 ||B||_2, ||A||_2 ||pinv(B)||_2)``, clamped to at
-    least 1, which scales the correction term of each bound.  Computed on
-    first use and kept: `_forms`, the term matrices of the subunitary
-    and the PSD bound (families 0 and 1) as affine functions of the probe;
-    `_report_11`, the report at (1, 1); and `_factor_diffs`, the true
-    factor changes.
+    `V` in the term formulas.  `lam`, which scales the correction term of
+    each bound, is ``max(||pinv(A)||_2 ||B||_2, ||A||_2 ||pinv(B)||_2, 1)``
+    by the rule of :func:`bounds._lambdas`.  Computed on first use and
+    kept: `_forms`, the term matrices of the subunitary and the PSD bound
+    (families 0 and 1) as affine functions of the probe; `_report_11`, the
+    report at (1, 1); and `_factor_diffs`, the true factor changes.
     """
 
     A: np.ndarray
@@ -125,17 +124,6 @@ class PolarPerturbReport:
     psd_clamped: bool
 
 
-def _pinv_ratio(f: matrixcore.SvdFactors, norm: float) -> float:
-    """``||pinv(M)||_2 * norm`` from the SVD `f` of `M`, under its rank
-    decision: ``(1 / sigma_r) * norm``, or ``norm / sigma_r`` where the
-    reciprocal of a subnormal ``sigma_r`` overflows."""
-    if not f.rank:
-        return 0.0
-    sigma = float(f.sigma[f.rank - 1])
-    inverse = 1.0 / sigma
-    return inverse * norm if math.isfinite(inverse) else norm / sigma
-
-
 def _checked_inverse(D: np.ndarray, name: str) -> np.ndarray:
     s = np.linalg.svd(D, compute_uv=False)
     if float(s[-1]) <= matrixcore.rank_cutoff(D.shape, float(s[0])):
@@ -155,7 +143,7 @@ def _checked_inverse(D: np.ndarray, name: str) -> np.ndarray:
 
 
 def make_scenario(A, D1, D2) -> PerturbationScenario:
-    """Build a perturbation scenario ``B = D1* A D2``.
+    """Build a perturbation scenario ``B = D1* A D2``, `lam` by :func:`bounds._lambdas`.
 
     Parameters
     ----------
@@ -187,7 +175,9 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
     svd_a, svd_b = matrixcore.svd(A), matrixcore.svd(B)
     polar_a, polar_b = _polar_from_svd(svd_a), _polar_from_svd(svd_b)
     norm_a, norm_b = float(svd_a.sigma[0]), float(svd_b.sigma[0])
-    lam = max(_pinv_ratio(svd_a, norm_b), _pinv_ratio(svd_b, norm_a), 1.0)
+    # The smallest kept singular value; inf at rank 0 gives a ratio of 0.
+    min_a, min_b = (f.sigma[f.rank - 1] if f.rank else np.inf for f in (svd_a, svd_b))
+    lam = float(bounds._lambdas(min_a, norm_a, min_b, norm_b)[2])
     return PerturbationScenario(
         A=A,
         D1=D1,
@@ -367,14 +357,23 @@ def _bound(
     scenario: PerturbationScenario, strategy: SearchStrategy, family: int
 ) -> PolarPerturbReport:
     """The kept report at (1, 1), or the report at the optimal probe of
-    `family` when its bound for `family` is strictly below the one at (1, 1)."""
+    `family` when its bound for `family` is strictly below the one at (1, 1).
+
+    A report evaluates both families, so the search is skipped where a term
+    form of either holds a step that overflowed, and a probe whose terms
+    overflow, which the norms reject, is not taken.
+    """
     report = scenario._report_11
-    if strategy is SearchStrategy.OPTIMAL:
+    if strategy is not SearchStrategy.OPTIMAL or not all(
+        np.isfinite(G).all() for forms in scenario._forms for G in forms
+    ):
+        return report
+    try:
         searched = _report_at(scenario, *_optimal_probe(scenario, family))
-        field = ("subunitary_bound", "psd_bound")[family]
-        if getattr(searched, field) < getattr(report, field):
-            report = searched
-    return report
+    except DomainError:
+        return report
+    field = ("subunitary_bound", "psd_bound")[family]
+    return searched if getattr(searched, field) < getattr(report, field) else report
 
 
 def subunitary_bound(

@@ -431,3 +431,59 @@ def test_unit_weights_give_the_sum_form(data):
         got = bounds_mod._enclosures(C, D, diff, ones, ones, mu)
         expected = ((total - mu * diff) / 2.0, (total + mu * diff) / 2.0)
     assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+
+class TestLambdaRule:
+    """One rule, ``bounds._lambdas``, gives `lam` to the enclosures and to the
+    perturbation bounds."""
+
+    def test_overflowing_reciprocal_gives_the_quotient(self):
+        # 1 / 1e-310 overflows; the quotient 1e-10 / 1e-310 does not.
+        w = weighted_params_from_spectra([1e-310], [1e-10])
+        s = symmetric_params_from_spectra([1e-310], [1e-10])
+        assert (repr(w.lambda1), repr(w.lambda2)) == (
+            "1.000000000000003e+300", "9.999999999999969e-301"
+        )
+        assert (s.lam, s.mu) == (w.lambda1, 1.0)
+
+    def test_infinite_lambda_gives_the_midpoint_enclosure(self):
+        # (1 / 1e-300) * 1e10 and 1e10 / 1e-300 both overflow.
+        rng = np.random.default_rng(410)
+        C, D = complex_gaussian(rng, (2, 2)), complex_gaussian(rng, (2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = symmetric_params_from_spectra([1e-300, 1e-300], [1e10, 1.0])
+        assert (p.lam, p.mu) == (math.inf, 1.0)
+        sym, mid = symmetric_bounds(C, D, p), midpoint_bounds(C, D)
+        assert (sym.lower, sym.upper) == (mid.lower, mid.upper)
+
+
+@PROPERTY
+@given(hnp.arrays(np.float64, (4, 3), elements=st.floats(1e-300, 1e300)))
+def test_lambdas_keep_the_reciprocal_rounding(extremes):
+    # Where every reciprocal is finite each ratio is (1 / min) * max.
+    min_a, max_a, min_b, max_b = extremes
+    with np.errstate(over="ignore"):
+        lambda1, lambda2 = (1.0 / min_a) * max_b, max_a * (1.0 / min_b)
+    expected = (lambda1, lambda2, np.maximum(np.maximum(lambda1, lambda2), 1.0))
+    got = bounds_mod._lambdas(min_a, max_a, min_b, max_b)
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+
+_SCALED_EIGENVALUES = st.lists(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(0.1, 10.0), st.integers(-300, 300)),
+    min_size=1,
+    max_size=5,
+)
+
+
+@PROPERTY
+@given(_SCALED_EIGENVALUES, _SCALED_EIGENVALUES)
+def test_symmetric_enclosure_is_finite_at_any_scale(wa, wb):
+    C, D = np.array([[1.0, -2.0], [0.5, 3.0]]), np.array([[2.0, 1.0], [-1.5, 0.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # The weighted coefficients, computed alongside, can leave the double range.
+        p = symmetric_params_from_spectra(wa, wb)
+    assert 0.0 <= p.mu <= 1.0
+    pair = symmetric_bounds(C, D, p)
+    assert math.isfinite(pair.lower) and math.isfinite(pair.upper)

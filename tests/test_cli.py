@@ -6,6 +6,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,30 @@ class TestSolveGolden:
             "weighted enclosure      [3.4, 3.4]\n"
             "symmetric enclosure     [2.105572809, 3.894427191]\n"
         )
+
+    def test_overflowing_lambda_gives_the_midpoint_enclosure(self, tmp_path, capsys):
+        # lambda1 = ||pinv(A)|| ||B|| = 1e310 overflows, so mu is its limit 1.
+        args = solve_args(
+            tmp_path, 1e-300 * np.eye(2), np.diag([1e10, 1.0]), np.eye(2), np.diag([2.0, 0.0])
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out == _HOLDS + (
+            "X =\n"
+            "  2  0\n"
+            "  0  1e-300\n"
+            "scaled residual 0.000e+00\n"
+            "||X||_F = 2\n"
+            "separation upper bound  2.449489743\n"
+            "norm-sum upper bound    2.449489743\n"
+            "midpoint enclosure      [0.8740320489, 2.288245611]\n"
+            "weighted enclosure      [2, 2]\n"
+            "symmetric enclosure     [0.8740320489, 2.288245611]\n"
+        )
+        assert captured.err == ""
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestPrintMatrix:

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from polarbounds import matrixcore
+from polarbounds import bounds, matrixcore
 from polarbounds import perturb as perturb_mod
 from polarbounds.exceptions import DomainError
 from polarbounds.perturb import (
@@ -51,6 +51,14 @@ class TestMakeScenario:
         report = psd_factor_bound(sc)
         assert report.psd_diff < 1e-13
         assert report.psd_bound < 1e-12
+
+    def test_lam_is_the_enclosures_lambda_of_the_singular_values(self):
+        rng = np.random.default_rng(503)
+        sc = random_scenario(rng, 3, 4, rank=3)
+        sigma_a, sigma_b = matrixcore.svd(sc.A).sigma, matrixcore.svd(sc.B).sigma
+        assert sc.lam == bounds.symmetric_params_from_spectra(sigma_a, sigma_b).lam
+        # At rank 0 both ratios are 0, so lam is its floor 1.
+        assert make_scenario(np.zeros((2, 3)), np.eye(2), np.eye(3)).lam == 1.0
 
     def test_scalar_perturber_scales_psd_factor(self):
         rng = np.random.default_rng(502)
@@ -188,6 +196,21 @@ class TestBoundValidity:
 EPS = np.finfo(np.float64).eps
 
 
+def _perturbers(rng, eps, m, n):
+    """Real ``D1 = I + eps E1`` (m x m) and ``D2 = I + eps E2`` (n x n)."""
+    return tuple(np.eye(k) + eps * rng.standard_normal((k, k)) for k in (m, n))
+
+
+def _near_overflow_case(seed):
+    """`A`, `D1` and `D2` of a real scenario with `A` scaled toward 1e308:
+    m and n from 1-4, rank from 1-min(m, n), perturbers ``I + 0.001 E``."""
+    rng = np.random.default_rng([2016, seed])
+    m, n = (int(k) for k in rng.integers(1, 5, 2))
+    rank = int(rng.integers(1, min(m, n) + 1))
+    A = 1e308 * (rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)) / (m * n))
+    return A, *_perturbers(rng, 0.001, m, n)
+
+
 class TestExtremeScales:
     """Scaling `A` by `c` scales the PSD factor, its change and its bounds by
     `c` and leaves the subunitary ones as they are.  At these `c` the squared
@@ -260,6 +283,29 @@ class TestExtremeScales:
         with np.errstate(over="ignore"):
             got = (subunitary_bound(sc).subunitary_bound, psd_factor_bound(sc).psd_bound)
         assert tuple(map(repr, got)) == golden
+
+    @pytest.mark.parametrize(
+        "A, D1, D2, golden",
+        [
+            (8e307 * A, *_perturbers(np.random.default_rng(5), 0.01, 2, 2),
+             ("0.025215391246025683", "3.976245731748355e+306")),
+            (*_near_overflow_case(72), ("0.0037268025654362495", "8.707094175757378e+304")),
+        ],
+        ids=["8e307-A", "near-overflow-seed-72"],
+    )
+    def test_optimal_search_that_overflows_keeps_one_one(self, A, D1, D2, golden):
+        # In the first case the PSD term steps overflow, and a report at any
+        # probe but (1, 1) evaluates them; in the second the steps are finite,
+        # but the PSD terms overflow at the subunitary probe, about (7.44, 7.45).
+        sc = make_scenario(A, D1, D2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            at11 = (subunitary_bound(sc).subunitary_bound, psd_factor_bound(sc).psd_bound)
+            got = (
+                subunitary_bound(sc, SearchStrategy.OPTIMAL).subunitary_bound,
+                psd_factor_bound(sc, SearchStrategy.OPTIMAL).psd_bound,
+            )
+        assert tuple(map(repr, got)) == golden
+        assert got[0] <= at11[0] and got[1] <= at11[1]
 
     def test_subnormal_a_keeps_lam_finite(self):
         # At c = 1e-310 the smallest singular value is subnormal, and its
