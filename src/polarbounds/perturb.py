@@ -364,9 +364,9 @@ def _bound(
     overflow, which the norms reject, is not taken.
     """
     report = scenario._report_11
-    if strategy is not SearchStrategy.OPTIMAL or not all(
-        np.isfinite(G).all() for forms in scenario._forms for G in forms
-    ):
+    if strategy is not SearchStrategy.OPTIMAL or not np.isfinite(
+        np.concatenate([G.ravel() for forms in scenario._forms for G in forms])
+    ).all():
         return report
     try:
         searched = _report_at(scenario, *_optimal_probe(scenario, family))
