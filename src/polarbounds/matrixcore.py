@@ -131,9 +131,9 @@ def _frobenius_norms(M: np.ndarray) -> np.ndarray:
 
     One call of the same ``nrm2`` kernel as :func:`frobenius_norm` per
     matrix, on the same entries in the same order, so each norm equals
-    ``frobenius_norm(M[i])`` bit for bit.  :func:`frobenius_norm`, 27 calls
-    per `perturb` benchmark op, skips the stack set-up: 1.3 us a call against
-    2.1 us, for a 5 x 4 complex matrix (2-CPU x86-64 Xeon, numpy 2.4.6).
+    ``frobenius_norm(M[i])`` bit for bit.  :func:`frobenius_norm`, called 27
+    times per `perturb` benchmark op, skips this: for a 5 x 4 complex matrix
+    it takes 1.3 us, this 2.1 us (2-CPU x86-64 Xeon, numpy 2.4.6).
     """
     if M.ndim != 3 or M.dtype not in (np.float64, np.complex128):
         raise DomainError(
