@@ -101,14 +101,15 @@ def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
     return a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + (middle >> 32)
 
 
-def _step(high, low, inc_high, inc_low):
-    """One LCG step ``state * multiplier + inc`` modulo 2**128."""
-    new_low = low * PCG_MULT_LOW + inc_low
-    carry = new_low < inc_low
-    new_high = _mulhi(low, PCG_MULT_LOW) + low * PCG_MULT_HIGH + high * PCG_MULT_LOW
-    new_high += inc_high
-    new_high += carry
-    return new_high, new_low
+def _step(high, low, inc_high, inc_low) -> None:
+    """One LCG step ``state * multiplier + inc`` modulo 2**128, in place."""
+    high *= PCG_MULT_LOW
+    high += low * PCG_MULT_HIGH
+    high += _mulhi(low, PCG_MULT_LOW)
+    high += inc_high
+    low *= PCG_MULT_LOW
+    low += inc_low
+    high += low < inc_low
 
 
 def _output(high: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -134,7 +135,8 @@ def _seeded(words: list[np.ndarray]):
     # From state 0, one step gives `inc`; add the seed, then step again.
     low = inc_low + seed_low
     high = inc_high + seed_high + (low < inc_low)
-    return (*_step(high, low, inc_high, inc_low), inc_high, inc_low)
+    _step(high, low, inc_high, inc_low)
+    return high, low, inc_high, inc_low
 
 
 def _states(seed: int, indices: np.ndarray, attempt: int) -> np.ndarray:
@@ -169,7 +171,7 @@ def uniforms(seed: int, indices: np.ndarray, attempt: int, count: int) -> np.nda
     high, low, inc_high, inc_low = _states(seed, indices, attempt)
     draws = np.empty((count, high.size), dtype=np.uint64)
     for j in range(count):
-        high, low = _step(high, low, inc_high, inc_low)
+        _step(high, low, inc_high, inc_low)
         draws[j] = _output(high, low)
     draws >>= 11
     out = np.empty((high.size, count))

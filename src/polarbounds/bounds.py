@@ -124,10 +124,22 @@ def _pair(C, D) -> tuple[np.ndarray, np.ndarray]:
 
 def _one_enclosure(kind: BoundKind, C, D, a: float, b: float, c: float) -> BoundPair:
     """The enclosure at coefficients `a`, `b`, `c` for one pair, reported as
-    `kind`: the one-row case of :func:`_enclosures`."""
+    `kind`: the one-row case of :func:`_enclosures`.  An infinite `b` (`a`)
+    gives the limit ``||D||_F`` (``||C||_F``) on both sides, where `c` drops
+    out; a non-finite enclosure is evaluated again at `a`, `b`, `c` divided
+    by the power of two of the larger coefficient, an exact division.
+    """
     C, D = _pair(C, D)
+    if math.isinf(b) or math.isinf(a):
+        limit = float(matrixcore._frobenius_norms(D if math.isinf(b) else C)[0])
+        return BoundPair(lower=limit, upper=limit, kind=kind)
     diff = matrixcore._frobenius_norms(C - D)
-    lower, upper = _enclosures(C, D, diff, *(np.array([v]) for v in (a, b, c)))
+    coefficients = np.array([[a], [b], [c]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, upper = _enclosures(_blends(C, D, *coefficients[:2]), diff, *coefficients)
+        if not (math.isfinite(lower[0]) and math.isfinite(upper[0])):
+            coefficients = np.ldexp(coefficients, -math.frexp(max(a, b))[1])
+            lower, upper = _enclosures(_blends(C, D, *coefficients[:2]), diff, *coefficients)
     return BoundPair(lower=float(lower[0]), upper=float(upper[0]), kind=kind)
 
 
@@ -177,14 +189,17 @@ def _spectral_separations(omega, gamma) -> tuple[np.ndarray, np.ndarray]:
     g = _real_spectra(gamma, "gamma")
     if w.shape[0] != g.shape[0]:
         raise DomainError(f"stacks of {w.shape[0]} and {g.shape[0]} spectra do not pair up")
-    # In-place steps keep two (k, p, q) temporaries alive, not five.
-    num = w[:, :, None] - g[:, None, :]
+    # Pairs run along the last, contiguous axis, so each reduction is an
+    # elementwise pass; the values are nonnegative, with no -0.0, so the
+    # order does not show.  In-place steps keep two temporaries alive, not five.
+    w, g = np.ascontiguousarray(w.T)[:, None], np.ascontiguousarray(g.T)[None]
+    num = w - g
     np.abs(num, out=num)
-    scale = np.maximum(np.abs(w).max(axis=1), np.abs(g).max(axis=1))
-    overlap = num.min(axis=(1, 2)) <= _OVERLAP_RTOL * scale
-    den = np.hypot(w[:, :, None], g[:, None, :])
+    scale = np.maximum(np.abs(w).max(axis=(0, 1)), np.abs(g).max(axis=(0, 1)))
+    overlap = num.min(axis=(0, 1)) <= _OVERLAP_RTOL * scale
+    den = np.hypot(w, g)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.divide(num, den, out=den).min(axis=(1, 2))
+        values = np.divide(num, den, out=den).min(axis=(0, 1))
     values[overlap] = np.nan
     return values, overlap
 
@@ -194,14 +209,13 @@ def separation_bound(C, D, sep: float) -> float:
     ``0 < sep < inf``; an infinite `sep` would give the false bound 0."""
     if not 0.0 < sep < math.inf:
         raise DomainError(f"separation must be positive and finite, got {sep}")
-    return float(_separation_uppers(*_pair(C, D), np.array([sep]))[0])
+    fc, fd = map(matrixcore._frobenius_norms, _pair(C, D))
+    return float(_separation_uppers(fc, fd, np.array([sep]))[0])
 
 
-def _separation_uppers(C: np.ndarray, D: np.ndarray, sep: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`separation_bound` over stacks ``C[i]``, ``D[i]`` and
-    positive separations ``sep[i]``."""
-    fc = matrixcore._frobenius_norms(C)
-    fd = matrixcore._frobenius_norms(D)
+def _separation_uppers(fc: np.ndarray, fd: np.ndarray, sep: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`separation_bound` from ``fc[i] = ||C[i]||_F``,
+    ``fd[i] = ||D[i]||_F`` and positive separations ``sep[i]``."""
     return np.hypot(fc, fd) / sep
 
 
@@ -224,14 +238,15 @@ def midpoint_bounds(C, D) -> BoundPair:
 def _kept_extremes(spectra, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise smallest eigenvalue above the rank cutoff, and largest, of
     the stack `spectra` of the PSD matrix `name`."""
-    w = _real_spectra(spectra, f"spectra_{name.lower()}")
+    # Pairs along the last axis, as in :func:`_spectral_separations`.
+    w = np.ascontiguousarray(_real_spectra(spectra, f"spectra_{name.lower()}").T)
     pos = matrixcore._above_cutoff(w)
-    if not pos.any(axis=1).all():
+    if not pos.any(axis=0).all():
         raise DomainError(
             f"{name} has no eigenvalue above the rank tolerance; "
             "bound coefficients need a nonzero matrix"
         )
-    return np.where(pos, w, np.inf).min(axis=1), w.max(axis=1)
+    return np.where(pos, w, np.inf).min(axis=0), w.max(axis=0)
 
 
 def _lambdas(min_a, max_a, min_b, max_b):
@@ -259,10 +274,13 @@ def _stacked_params(spectra_a, spectra_b) -> tuple[WeightedBoundParams, Symmetri
     """
     l1, l2, lam = _lambdas(*_kept_extremes(spectra_a, "A"), *_kept_extremes(spectra_b, "B"))
     capped = np.minimum(lam, np.finfo(np.float64).max)
-    with np.errstate(over="ignore"):
+    # Where lambda1 or lambda2 leaves the double range, `a` or `b` is inf and
+    # `c` can be NaN; the one-row enclosure takes its limit there.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         c = np.sqrt(np.maximum(0.0, 1.0 - 1.0 / (l1 * l2)))
+        a, b = 1.0 + 1.0 / l1, 1.0 + 1.0 / l2
     return (
-        WeightedBoundParams(lambda1=l1, lambda2=l2, a=1.0 + 1.0 / l1, b=1.0 + 1.0 / l2, c=c),
+        WeightedBoundParams(lambda1=l1, lambda2=l2, a=a, b=b, c=c),
         SymmetricBoundParams(lam=lam, mu=np.sqrt((capped - 1.0) / (capped + 1.0))),
     )
 
@@ -289,15 +307,19 @@ def weighted_bounds(C, D, params: WeightedBoundParams) -> BoundPair:
     return _one_enclosure(BoundKind.WEIGHTED, C, D, params.a, params.b, params.c)
 
 
-def _enclosures(C, D, diff, a, b, c) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (lower, upper) of :func:`weighted_bounds` over stacks ``C[i]``,
-    ``D[i]``, ``diff[i] = ||C[i] - D[i]||_F`` and ``a[i]``, ``b[i]``, ``c[i]``.
+def _blends(C, D, a, b) -> np.ndarray:
+    """``||a[i] C[i] + b[i] D[i]||_F`` over stacks ``C[i]``, ``D[i]``; at
+    ``a = b = 1`` it is ``||C + D||_F`` bit for bit, as scaling by 1 is exact."""
+    return matrixcore._frobenius_norms(a[:, None, None] * C + b[:, None, None] * D)
+
+
+def _enclosures(blend, diff, a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise (lower, upper) of :func:`weighted_bounds` from the norms
+    ``blend`` (:func:`_blends`) and ``diff[i] = ||C[i] - D[i]||_F`` and the
+    coefficients ``a[i]``, ``b[i]``, ``c[i]``.
 
     The symmetric and midpoint enclosures are the rows with ``a = b = 1``.
-    Scaling by 1 is exact, so those rows equal the ``||C + D||_F`` form bit
-    for bit.
     """
-    blend = matrixcore._frobenius_norms(a[:, None, None] * C + b[:, None, None] * D)
     gap = c * diff
     s = a + b
     return (blend - gap) / s, (blend + gap) / s

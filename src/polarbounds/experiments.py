@@ -12,9 +12,11 @@ Gaussian draws come from numpy's own ziggurat on one generator set to each
 trial's state in turn.  On first use the batch draws are checked against
 numpy's generator on one key, and on a mismatch every trial is drawn from
 its own ``default_rng`` instead.  One stacked ``eigvalsh``, vectorised
-separations and bound parameters, and one BLAS ``nrm2`` call per matrix
-then give every trial the same floating-point values as evaluating it
-alone.  Chunks run one after another in the calling thread.
+separations and bound parameters, and one BLAS ``nrm2`` call per matrix of
+each norm stack then give every trial the same floating-point values as
+evaluating it alone.  Test i takes five norm stacks; tests ii-v take two,
+the drawn data matrix and the weighted blend ``a C + b D``, and scale the
+first for the others.  Chunks run one after another in the calling thread.
 """
 
 from __future__ import annotations
@@ -281,6 +283,17 @@ def _attempt(
     return wa, wb, C, D, sep, overlap
 
 
+# ||C||, ||D||, ||C - D|| and ||C + D|| of tests ii-v as multiples of the
+# drawn matrix's norm: exact, as negation and scaling by 2 are exact in any
+# nrm2 that neither overflows nor underflows (ROADMAP, "What `nrm2` computes here").
+_NORM_MULTIPLES = {
+    ComparisonTest.ZERO_D: (1.0, 0.0, 1.0, 1.0),
+    ComparisonTest.ZERO_C: (0.0, 1.0, 1.0, 1.0),
+    ComparisonTest.OPPOSITE: (1.0, 1.0, 2.0, 0.0),
+    ComparisonTest.EQUAL: (1.0, 1.0, 0.0, 2.0),
+}
+
+
 def _tally_range(
     seed: int, start: int, stop: int, test: ComparisonTest, n: int, dist: SampleDistribution
 ) -> tuple[int, int, int, int]:
@@ -306,11 +319,16 @@ def _tally_range(
             f"separated spectra after {_MAX_REDRAWS} attempts"
         )
     weighted, symmetric = bounds._stacked_params(wa, wb)
-    ub_separation = bounds._separation_uppers(C, D, sep)
-    diff = matrixcore._frobenius_norms(C - D)
-    _, ub_weighted = bounds._enclosures(C, D, diff, weighted.a, weighted.b, weighted.c)
+    blend = bounds._blends(C, D, weighted.a, weighted.b)
+    if test is ComparisonTest.INDEPENDENT:
+        fc, fd, diff, total = map(matrixcore._frobenius_norms, (C, D, C - D, C + D))
+    else:
+        drawn = matrixcore._frobenius_norms(D if test is ComparisonTest.ZERO_C else C)
+        fc, fd, diff, total = (m * drawn for m in _NORM_MULTIPLES[test])
+    ub_separation = bounds._separation_uppers(fc, fd, sep)
+    _, ub_weighted = bounds._enclosures(blend, diff, weighted.a, weighted.b, weighted.c)
     ones = np.ones_like(symmetric.mu)
-    _, ub_symmetric = bounds._enclosures(C, D, diff, ones, ones, symmetric.mu)
+    _, ub_symmetric = bounds._enclosures(total, diff, ones, ones, symmetric.mu)
     return (
         int(np.count_nonzero(ub_weighted <= ub_separation)),
         int(np.count_nonzero(ub_weighted <= ub_symmetric)),

@@ -91,9 +91,9 @@ def rank_cutoff(shape: tuple[int, int], largest: float) -> float:
 
 def _above_cutoff(w: np.ndarray) -> np.ndarray:
     """Which PSD eigenvalues lie above the rank cutoff of their spectrum, for
-    each spectrum along the last axis of `w`; the others count as zero."""
-    p = w.shape[-1]
-    return w > rank_cutoff((p, p), np.maximum(w.max(axis=-1, keepdims=True), 0.0))
+    each spectrum along the first axis of `w`; the others count as zero."""
+    p = w.shape[0]
+    return w > rank_cutoff((p, p), np.maximum(w.max(axis=0), 0.0))
 
 
 def frobenius_norm(M) -> float:

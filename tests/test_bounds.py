@@ -132,11 +132,14 @@ class TestStackedForms:
         D[4] = C[4]  # equal data collapses the gap terms
         sep = rng.random(30) + 0.1
         p, q = bounds_mod._stacked_params(rng.random((30, 3)), rng.random((30, 3)))
-        ub_sep = bounds_mod._separation_uppers(C, D, sep)
+        fc, fd = matrixcore._frobenius_norms(C), matrixcore._frobenius_norms(D)
+        ub_sep = bounds_mod._separation_uppers(fc, fd, sep)
         diff = matrixcore._frobenius_norms(C - D)
-        w_lo, w_up = bounds_mod._enclosures(C, D, diff, p.a, p.b, p.c)
+        blend = bounds_mod._blends(C, D, p.a, p.b)
+        w_lo, w_up = bounds_mod._enclosures(blend, diff, p.a, p.b, p.c)
         ones = np.ones_like(q.mu)
-        s_lo, s_up = bounds_mod._enclosures(C, D, diff, ones, ones, q.mu)
+        total = bounds_mod._blends(C, D, ones, ones)
+        s_lo, s_up = bounds_mod._enclosures(total, diff, ones, ones, q.mu)
         for row in range(30):
             c, d = C[row], D[row]
             w = weighted_bounds(
@@ -428,7 +431,7 @@ def test_unit_weights_give_the_sum_form(data):
     diff = matrixcore._frobenius_norms(C - D)
     total = matrixcore._frobenius_norms(C + D)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = bounds_mod._enclosures(C, D, diff, ones, ones, mu)
+        got = bounds_mod._enclosures(bounds_mod._blends(C, D, ones, ones), diff, ones, ones, mu)
         expected = ((total - mu * diff) / 2.0, (total + mu * diff) / 2.0)
     assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
 
@@ -487,3 +490,121 @@ def test_symmetric_enclosure_is_finite_at_any_scale(wa, wb):
     assert 0.0 <= p.mu <= 1.0
     pair = symmetric_bounds(C, D, p)
     assert math.isfinite(pair.lower) and math.isfinite(pair.upper)
+
+
+_DATA = (np.array([[1.0, -2.0], [0.5, 3.0]]), np.array([[2.0, 1.0], [-1.5, 0.0]]))
+
+
+class TestWeightedLimits:
+    """Where `a` or `b` is infinite the weighted enclosure is its limit, and
+    where the blend overflows it is evaluated at scaled coefficients."""
+
+    @pytest.mark.parametrize(
+        "wa, wb, limit",
+        [([1e-300], [1e10], 1), ([1e300], [1e-300], 0)],
+    )
+    def test_infinite_coefficient_gives_the_limit(self, wa, wb, limit):
+        # b = 1 + 1/lambda2 overflows in the first case, a = 1 + 1/0 in the second.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = weighted_params_from_spectra(wa, wb)
+            symmetric_params_from_spectra(wa, wb)
+            pair = weighted_bounds(*_DATA, p)
+        assert math.isinf(p.b if limit else p.a)
+        norm = matrixcore.frobenius_norm(_DATA[limit])
+        assert (pair.lower, pair.upper) == (norm, norm)
+
+    def test_overflowing_blend_is_scaled(self):
+        # a = 1e308 is finite, but a C overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = weighted_params_from_spectra([1e300], [1e-8])
+            pair = weighted_bounds(*_DATA, p)
+        assert p.a == 1e308
+        norm = matrixcore.frobenius_norm(_DATA[0])
+        assert pair.lower == pytest.approx(norm, rel=1e-15)
+        assert pair.upper == pytest.approx(norm, rel=1e-15)
+
+
+@PROPERTY
+@given(_SCALED_EIGENVALUES, _SCALED_EIGENVALUES)
+def test_weighted_enclosure_is_finite_at_any_scale(wa, wb):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = weighted_bounds(*_DATA, weighted_params_from_spectra(wa, wb))
+        symmetric_params_from_spectra(wa, wb)
+    assert math.isfinite(pair.lower) and math.isfinite(pair.upper)
+    assert pair.lower <= pair.upper
+
+
+def _axis_separations(w, g):
+    """The stacked separations as reductions over axes 1 and 2 of (k, p, q)
+    stacks: the reference for the contiguous reductions of the kernel."""
+    num = np.abs(w[:, :, None] - g[:, None, :])
+    scale = np.maximum(np.abs(w).max(axis=1), np.abs(g).max(axis=1))
+    overlap = num.min(axis=(1, 2)) <= bounds_mod._OVERLAP_RTOL * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = (num / np.hypot(w[:, :, None], g[:, None, :])).min(axis=(1, 2))
+    values[overlap] = np.nan
+    return values, overlap
+
+
+def _axis_params(wa, wb):
+    """The stacked parameters with each spectrum's extremes reduced along
+    axis 1 of a (k, p) stack: the reference for the kernel's reductions."""
+
+    def extremes(w):
+        p = w.shape[1]
+        top = np.maximum(w.max(axis=1, keepdims=True), 0.0)
+        kept = w > matrixcore.rank_cutoff((p, p), top)
+        return np.where(kept, w, np.inf).min(axis=1), w.max(axis=1)
+
+    l1, l2, lam = bounds_mod._lambdas(*extremes(wa), *extremes(wb))
+    capped = np.minimum(lam, np.finfo(np.float64).max)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c = np.sqrt(np.maximum(0.0, 1.0 - 1.0 / (l1 * l2)))
+        a, b = 1.0 + 1.0 / l1, 1.0 + 1.0 / l2
+    return (l1, l2, a, b, c, lam, np.sqrt((capped - 1.0) / (capped + 1.0)))
+
+
+# (k, p) of the stacks: every k and p of {1, 7, 4096} x {1, 3, 600} but the
+# two whose (k, p, p) temporaries would not fit in memory.
+_STACK_SHAPES = [(1, 1), (1, 3), (1, 600), (7, 1), (7, 3), (7, 600), (4096, 1), (4096, 3)]
+
+
+@st.composite
+def spectra_stacks(draw):
+    """Stacks of PSD spectra `wa`, `wb` of shape (k, p) with exact zeros of
+    both signs and round-off negatives at the rank cutoff, and the spectra
+    `gamma` that `wa` is separated from: ``-wb``, with rows equal to those of
+    `wa` (overlapping) in some stacks."""
+    k, p = draw(st.sampled_from(_STACK_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wa, wb = 2.0 * rng.random((2, k, p))
+    for w in (wa, wb):
+        edits = rng.random(w.shape)
+        w[edits < 0.1] = 0.0
+        w[(0.1 <= edits) & (edits < 0.2)] = -0.0
+        # -1, 1 and 2 times the rank cutoff of a row whose largest value is 2.
+        cutoff = rng.choice([-1.0, 1.0, 2.0], w.shape) * matrixcore.rank_cutoff((p, p), 2.0)
+        at_cutoff = (0.2 <= edits) & (edits < 0.3)
+        w[at_cutoff] = cutoff[at_cutoff]
+        w[:, rng.integers(p)] = 2.0
+        w *= 10.0 ** rng.integers(-3, 4, (k, 1))
+    gamma = -wb
+    if draw(st.booleans()):
+        gamma[: max(1, k // 3)] = wa[: max(1, k // 3)]
+    return wa, wb, gamma
+
+
+@PROPERTY
+@given(spectra_stacks())
+def test_contiguous_reductions_keep_the_axis_reductions(stacks):
+    wa, wb, gamma = stacks
+    got = bounds_mod._spectral_separations(wa, gamma)
+    expected = _axis_separations(wa, gamma)
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+    weighted, symmetric = bounds_mod._stacked_params(wa, wb)
+    got = (*(getattr(weighted, f) for f in ("lambda1", "lambda2", "a", "b", "c")),
+           symmetric.lam, symmetric.mu)
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in _axis_params(wa, wb)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polarbounds import bounds as bounds_mod
-from polarbounds import experiments
+from polarbounds import experiments, matrixcore
 from polarbounds.exceptions import DomainError, NumericalError
 from polarbounds.experiments import (
     ComparisonTest,
@@ -222,6 +222,86 @@ class TestRunMontecarlo:
         config = ExperimentConfig(trials=50, seed=7, size=3)
         numpy_config = ExperimentConfig(trials=np.int64(50), seed=np.uint32(7), size=np.int32(3))
         assert run_montecarlo(numpy_config) == run_montecarlo(config)
+
+
+def five_stack_tally(seed, start, stop, test, n, dist):
+    """Trials ``start .. stop - 1`` tallied with five norm stacks in every
+    test, ``||C||``, ``||D||``, ``||C - D||``, ``||C + D||`` and
+    ``||a C + b D||``, and the bound formulas written out: the reference for
+    the kernel's per-test norm table."""
+    indices = np.arange(start, stop)
+    data = experiments._attempt(seed, indices, 0, test, n, dist)
+    redraws = 0
+    for attempt in range(1, experiments._MAX_REDRAWS):
+        rows = np.flatnonzero(data[-1])
+        if rows.size == 0:
+            break
+        redraws += rows.size
+        for whole, part in zip(data, experiments._attempt(seed, indices[rows], attempt, test, n, dist)):
+            whole[rows] = part
+    wa, wb, C, D, sep, overlap = data
+    assert not overlap.any()
+    weighted, symmetric = bounds_mod._stacked_params(wa, wb)
+    norms = matrixcore._frobenius_norms
+    a, b = weighted.a[:, None, None], weighted.b[:, None, None]
+    diff = norms(C - D)
+    ub_separation = np.hypot(norms(C), norms(D)) / sep
+    ub_weighted = (norms(a * C + b * D) + weighted.c * diff) / (weighted.a + weighted.b)
+    ub_symmetric = (norms(C + D) + symmetric.mu * diff) / 2.0
+    return (
+        int(np.count_nonzero(ub_weighted <= ub_separation)),
+        int(np.count_nonzero(ub_weighted <= ub_symmetric)),
+        int(np.count_nonzero(ub_symmetric <= ub_separation)),
+        redraws,
+    )
+
+
+class TestNormTable:
+    """The kernel's norms of tests ii-v, taken from one norm stack, give the
+    tallies of five norm stacks."""
+
+    TRIALS = 8209  # two full chunks and a partial one
+
+    def reference(self, seed, test, dist):
+        parts = [
+            five_stack_tally(seed, start, min(start + experiments._CHUNK, self.TRIALS),
+                             test, 3, dist)
+            for start in range(0, self.TRIALS, experiments._CHUNK)
+        ]
+        return tuple(sum(p[i] for p in parts) for i in range(4))
+
+    def tally(self, seed, test, dist):
+        t = run_montecarlo(ExperimentConfig(test=test, trials=self.TRIALS, seed=seed, dist=dist))
+        return (t.alpha, t.beta, t.gamma, t.redraws)
+
+    @pytest.mark.parametrize("dist", list(SampleDistribution))
+    @pytest.mark.parametrize("test", list(ComparisonTest))
+    def test_tallies_equal_the_five_stack_reference(self, test, dist, monkeypatch):
+        for seed in (0, 19, experiments.DEFAULT_SEED):
+            assert self.tally(seed, test, dist) == self.reference(seed, test, dist)
+        # Each run starts the helper's count of calls afresh.
+        forced = []
+        for tally in (self.tally, self.reference):
+            with monkeypatch.context() as patched:
+                TestRunMontecarlo.force_first_attempt_overlap(patched)
+                forced.append(tally(5, test, dist))
+        assert forced[0] == forced[1] and forced[0][3] >= self.TRIALS
+
+    @pytest.mark.parametrize("test", list(ComparisonTest))
+    def test_norm_stacks_per_chunk(self, test, monkeypatch):
+        calls = []
+        norms = matrixcore._frobenius_norms
+
+        def counted(M):
+            calls.append(M.shape[0])
+            return norms(M)
+
+        monkeypatch.setattr(matrixcore, "_frobenius_norms", counted)
+        experiments._tally_range(
+            3, 0, experiments._CHUNK, test, 3, SampleDistribution.UNIFORM_REAL
+        )
+        expected = 5 if test is ComparisonTest.INDEPENDENT else 2
+        assert calls == [experiments._CHUNK] * expected
 
 
 class TestRunPerturbSweep:
