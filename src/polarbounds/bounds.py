@@ -127,20 +127,33 @@ def _one_enclosure(kind: BoundKind, C, D, a: float, b: float, c: float) -> Bound
     `kind`: the one-row case of :func:`_enclosures`.  An infinite `b` (`a`)
     gives the limit ``||D||_F`` (``||C||_F``) on both sides, where `c` drops
     out; a non-finite enclosure is evaluated again at `a`, `b`, `c` divided
-    by the power of two of the larger coefficient, an exact division.
+    by the power of two of the larger coefficient and at `C`, `D` divided by
+    that of their largest part, and multiplied back: exact scalings but for
+    parts far below the largest that underflow.
     """
     C, D = _pair(C, D)
     if math.isinf(b) or math.isinf(a):
         limit = float(matrixcore._frobenius_norms(D if math.isinf(b) else C)[0])
         return BoundPair(lower=limit, upper=limit, kind=kind)
-    diff = matrixcore._frobenius_norms(C - D)
     coefficients = np.array([[a], [b], [c]])
     with np.errstate(over="ignore", invalid="ignore"):
-        lower, upper = _enclosures(_blends(C, D, *coefficients[:2]), diff, *coefficients)
-        if not (math.isfinite(lower[0]) and math.isfinite(upper[0])):
+        pair = _data_enclosures(C, D, coefficients)
+        if not np.isfinite(pair).all():
             coefficients = np.ldexp(coefficients, -math.frexp(max(a, b))[1])
-            lower, upper = _enclosures(_blends(C, D, *coefficients[:2]), diff, *coefficients)
-    return BoundPair(lower=float(lower[0]), upper=float(upper[0]), kind=kind)
+            data = np.concatenate((C, D))
+            parts = data.view(np.float64)
+            e = math.frexp(np.abs(parts).max())[1]
+            scaled = np.ldexp(parts, -e).view(data.dtype)
+            pair = np.ldexp(_data_enclosures(scaled[:1], scaled[1:], coefficients), e)
+    (lower,), (upper,) = pair.tolist()
+    return BoundPair(lower=lower, upper=upper, kind=kind)
+
+
+def _data_enclosures(C, D, coefficients) -> np.ndarray:
+    """:func:`_enclosures` of stacks `C`, `D` at the rows ``a, b, c`` of
+    `coefficients`, as the rows (lower, upper)."""
+    diff = matrixcore._frobenius_norms(C - D)
+    return np.array(_enclosures(_blends(C, D, *coefficients[:2]), diff, *coefficients))
 
 
 def spectral_separation(omega, gamma) -> float:

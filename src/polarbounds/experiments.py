@@ -16,7 +16,15 @@ separations and bound parameters, and one BLAS ``nrm2`` call per matrix of
 each norm stack then give every trial the same floating-point values as
 evaluating it alone.  Test i takes five norm stacks; tests ii-v take two,
 the drawn data matrix and the weighted blend ``a C + b D``, and scale the
-first for the others.  Chunks run one after another in the calling thread.
+first for the others.
+
+A call of several chunks splits them over ``min(CPUs available, chunks)``
+workers where the platform has ``os.fork`` and ``os.sched_getaffinity``
+(Linux): it forks one child per extra worker, runs the first share itself
+and adds the integer tallies the children send back through pipes.  A
+child sees the caller's module state as it was at the call.  Elsewhere,
+and for a single chunk or CPU, the chunks run one after another in the
+calling thread.  The tallies do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -24,6 +32,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from enum import Enum
 
@@ -223,7 +234,10 @@ def _split(raw: np.ndarray, test: ComparisonTest, dist: SampleDistribution):
 
 
 def _gram(M: np.ndarray) -> np.ndarray:
-    return M.conj().mT @ M
+    # A contiguous left factor keeps matmul off its strided path: the same
+    # bytes, in 0.23 ms against 0.60 ms for the strided A1 stack of a
+    # 4096-trial chunk (2-CPU x86-64, numpy 2.4.6).
+    return np.ascontiguousarray(M.conj().mT) @ M
 
 
 def _draw_each(
@@ -349,11 +363,89 @@ def _integer(value, name: str, least: int) -> int:
     return index
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork workers."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _tally_share(seed: int, share, test, n: int, dist) -> tuple[int, int, int, int]:
+    """The tallies of :func:`_tally_range` over each range of `share`, summed."""
+    parts = [_tally_range(seed, start, stop, test, n, dist) for start, stop in share]
+    return tuple(map(sum, zip(*parts)))
+
+
+def _worker(read: int, write: int, seed: int, share, test, n: int, dist):
+    """Body of a forked child: send the tally of `share`, or the exception
+    it raised, pickled through `write`, and end the process.  ``os._exit``
+    runs no ``atexit`` handler and flushes no stdio buffer inherited from
+    the parent."""
+    status = 1
+    try:
+        os.close(read)
+        try:
+            result = _tally_share(seed, share, test, n, dist)
+        except BaseException as exc:  # sent to the parent, which raises it
+            result = exc
+        payload = pickle.dumps(result)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _tally_shares(seed: int, shares, test, n: int, dist) -> tuple[int, int, int, int]:
+    """Sum of :func:`_tally_share` over `shares`: the first in this process,
+    each other in a child forked before it, whose result comes back through
+    a pipe.  Every child is reaped before this returns or raises; one whose
+    result was not read by then is killed first."""
+    children = {}  # pid -> (read end of its pipe, its share)
+    payloads = {}
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _worker(read, write, seed, share, test, n, dist)
+            os.close(write)
+            children[pid] = (read, share)
+        parts = [_tally_share(seed, shares[0], test, n, dist)]
+        for pid, (read, _) in children.items():
+            with open(read, "rb", closefd=False) as pipe:
+                payloads[pid] = pipe.read()
+    finally:
+        for pid, (read, _) in children.items():
+            os.close(read)
+            if pid not in payloads:
+                os.kill(pid, signal.SIGKILL)
+        statuses = {pid: os.waitpid(pid, 0)[1] for pid in children}
+    for pid, (_, share) in children.items():
+        code = os.waitstatus_to_exitcode(statuses[pid])
+        if code != 0 or not payloads[pid]:
+            trials = ", ".join(f"{start}-{stop - 1}" for start, stop in share)
+            raise NumericalError(
+                f"the worker for trials {trials} ended with exit status {code} "
+                "and sent no tally"
+            )
+        result = pickle.loads(payloads[pid])
+        if isinstance(result, BaseException):
+            raise result
+        parts.append(result)
+    return tuple(map(sum, zip(*parts)))
+
+
 def run_montecarlo(config: ExperimentConfig) -> TrialTally:
     """Tally the three bound comparisons over independent seeded trials.
 
     Trials are independent substreams of the seed, so the tally does not
-    depend on chunking.
+    depend on chunking or on the number of workers.
     """
     trials = _integer(config.trials, "trials", 1)
     size = _integer(config.size, "size", 1)
@@ -363,16 +455,12 @@ def run_montecarlo(config: ExperimentConfig) -> TrialTally:
         raise DomainError(f"test must be a ComparisonTest, got {config.test!r}")
     if not isinstance(config.dist, SampleDistribution):
         raise DomainError(f"dist must be a SampleDistribution, got {config.dist!r}")
-    parts = [
-        _tally_range(
-            seed, start, min(start + _CHUNK, trials), config.test, size, config.dist
-        )
-        for start in range(0, trials, _CHUNK)
-    ]
-    alpha = sum(p[0] for p in parts)
-    beta = sum(p[1] for p in parts)
-    gamma = sum(p[2] for p in parts)
-    redraws = sum(p[3] for p in parts)
+    ranges = [(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK)]
+    # Decided here, so that forked workers inherit the cached answer.
+    _batch_draws_match(config.dist)
+    workers = min(_cpu_count(), len(ranges))
+    shares = [ranges[w::workers] for w in range(workers)]
+    alpha, beta, gamma, redraws = _tally_shares(seed, shares, config.test, size, config.dist)
     return TrialTally(
         test=config.test,
         trials=trials,

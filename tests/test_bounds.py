@@ -526,6 +526,42 @@ class TestWeightedLimits:
         assert pair.upper == pytest.approx(norm, rel=1e-15)
 
 
+class TestOverflowingData:
+    """Where ``C - D`` overflows but the enclosure is finite, the second pass
+    scales the data as well as the coefficients."""
+
+    C, D = [[1e308]], [[-1e308]]
+    SPECTRA = ([1.0, 2.0], [3.0])
+    ENCLOSURES = {
+        "midpoint": lambda C, D, spectra: midpoint_bounds(C, D),
+        "weighted": lambda C, D, spectra: weighted_bounds(
+            C, D, weighted_params_from_spectra(*spectra)
+        ),
+        "symmetric": lambda C, D, spectra: symmetric_bounds(
+            C, D, symmetric_params_from_spectra(*spectra)
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", list(ENCLOSURES))
+    def test_enclosure_is_the_scaled_one(self, kind):
+        enclosure = self.ENCLOSURES[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = enclosure(self.C, self.D, self.SPECTRA)
+        # 2^-1024 times 1e308 is a normal number, so the scaled data is exact.
+        small = enclosure(np.ldexp(self.C, -1024), np.ldexp(self.D, -1024), self.SPECTRA)
+        assert (pair.lower, pair.upper) == (
+            math.ldexp(small.lower, 1024), math.ldexp(small.upper, 1024)
+        )
+        assert -math.inf < pair.lower < 0.0 < pair.upper < math.inf
+
+    def test_midpoint_value(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = midpoint_bounds(self.C, self.D)
+        assert (pair.lower, pair.upper) == (-1e308, 1e308)
+
+
 @PROPERTY
 @given(_SCALED_EIGENVALUES, _SCALED_EIGENVALUES)
 def test_weighted_enclosure_is_finite_at_any_scale(wa, wb):

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import time
 from dataclasses import astuple
 
 import numpy as np
@@ -302,6 +305,119 @@ class TestNormTable:
         )
         expected = 5 if test is ComparisonTest.INDEPENDENT else 2
         assert calls == [experiments._CHUNK] * expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("k", [1, 7, 4096])
+@pytest.mark.parametrize("dist", list(SampleDistribution))
+def test_gram_equals_the_strided_product(k, n, dist):
+    # The A1 stack as the kernel splits it: a strided view of the draws.
+    rng = np.random.default_rng([k, n])
+    shape = (k,) + experiments._raw_shape(ComparisonTest.INDEPENDENT, n, dist)
+    A1 = experiments._split(rng.random(shape), ComparisonTest.INDEPENDENT, dist)[0]
+    assert experiments._gram(A1).tobytes() == (A1.conj().mT @ A1).tobytes()
+
+
+class TestForkedWorkers:
+    """Calls of several chunks fork workers; the tallies and the caller's
+    process are as with the chunks run one after another."""
+
+    TRIALS = 8209  # two full chunks and a partial one
+
+    @staticmethod
+    def workers(monkeypatch, count):
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: count)
+
+    @pytest.mark.parametrize("dist", list(SampleDistribution))
+    @pytest.mark.parametrize("test", list(ComparisonTest))
+    def test_tallies_equal_the_serial_ones(self, test, dist, monkeypatch):
+        config = ExperimentConfig(test=test, trials=self.TRIALS, seed=11, dist=dist)
+        for forced in (False, True):
+            tallies = []
+            for count in (1, 2, 3):
+                # Each run starts the overlap helper's count of calls afresh.
+                with monkeypatch.context() as patched:
+                    self.workers(patched, count)
+                    if forced:
+                        TestRunMontecarlo.force_first_attempt_overlap(patched)
+                    tallies.append(run_montecarlo(config))
+            assert tallies[0] == tallies[1] == tallies[2]
+            assert (tallies[0].redraws >= self.TRIALS) == forced
+
+    def test_one_chunk_forks_nothing(self, monkeypatch):
+        self.workers(monkeypatch, 2)
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        run_montecarlo(ExperimentConfig(trials=experiments._CHUNK))
+        assert forks == []
+        run_montecarlo(ExperimentConfig(trials=experiments._CHUNK + 1))
+        assert forks == [1]
+
+    def test_redraw_exhaustion_in_a_worker_reaches_the_caller(self, monkeypatch):
+        self.workers(monkeypatch, 2)
+        monkeypatch.setattr(experiments, "_MAX_REDRAWS", 3)
+        caller = os.getpid()
+        orig = bounds_mod._spectral_separations
+
+        def overlapping_in_workers(omega, gamma, **kwargs):
+            values, overlap = orig(omega, gamma, **kwargs)
+            if os.getpid() != caller:
+                overlap = np.ones_like(overlap)
+            return values, overlap
+
+        monkeypatch.setattr(bounds_mod, "_spectral_separations", overlapping_in_workers)
+        with pytest.raises(NumericalError, match=f"trial {experiments._CHUNK} could not"):
+            run_montecarlo(ExperimentConfig(trials=2 * experiments._CHUNK))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failure_in_the_caller_kills_the_workers(self, monkeypatch):
+        self.workers(monkeypatch, 3)
+        caller = os.getpid()
+
+        def failing(*args):
+            if os.getpid() != caller:
+                time.sleep(60)
+            raise NumericalError("the caller's share failed")
+
+        monkeypatch.setattr(experiments, "_tally_range", failing)
+        start = time.monotonic()
+        with pytest.raises(NumericalError, match="the caller's share failed"):
+            run_montecarlo(ExperimentConfig(trials=3 * experiments._CHUNK))
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_without_a_result(self, monkeypatch):
+        self.workers(monkeypatch, 2)
+        caller = os.getpid()
+        orig = experiments._tally_range
+
+        def dying_in_workers(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return orig(*args)
+
+        monkeypatch.setattr(experiments, "_tally_range", dying_in_workers)
+        chunk = experiments._CHUNK
+        with pytest.raises(NumericalError, match=f"trials {chunk}-{2 * chunk - 1} .*status 3"):
+            run_montecarlo(ExperimentConfig(trials=2 * chunk))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_buffered_stdout_is_written_once(self, capfd, monkeypatch):
+        self.workers(monkeypatch, 2)
+        with open(1, "w", closefd=False) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            print("before the call")
+            run_montecarlo(ExperimentConfig(trials=2 * experiments._CHUNK))
+        assert capfd.readouterr().out == "before the call\n"
 
 
 class TestRunPerturbSweep:
