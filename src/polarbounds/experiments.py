@@ -235,8 +235,8 @@ def _split(raw: np.ndarray, test: ComparisonTest, dist: SampleDistribution):
 
 def _gram(M: np.ndarray) -> np.ndarray:
     # A contiguous left factor keeps matmul off its strided path: the same
-    # bytes, in 0.23 ms against 0.60 ms for the strided A1 stack of a
-    # 4096-trial chunk (2-CPU x86-64, numpy 2.4.6).
+    # bytes, in 0.25-0.27 us per trial for both stacks against 0.60-0.77
+    # (2-CPU x86-64, numpy 2.4.6).
     return np.ascontiguousarray(M.conj().mT) @ M
 
 
