@@ -103,12 +103,15 @@ def _real_spectra(values, name: str) -> np.ndarray:
 
 
 def _stack_of_one(spectrum, name: str) -> np.ndarray:
-    """Real `spectrum` flattened into a stack of one, for the one-row case of
-    a stacked form, which validates it."""
+    """Real one-dimensional `spectrum` as a stack of one, for the one-row case
+    of a stacked form, which validates it."""
     try:
-        return np.asarray(spectrum, dtype=np.float64).reshape(1, -1)
+        w = np.asarray(spectrum, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be a real spectrum") from exc
+    if w.ndim > 1:
+        raise DomainError(f"{name} must be one-dimensional, got shape {w.shape}")
+    return w.reshape(1, -1)
 
 
 def _pair(C, D) -> tuple[np.ndarray, np.ndarray]:
@@ -126,10 +129,9 @@ def _one_enclosure(kind: BoundKind, C, D, a: float, b: float, c: float) -> Bound
     """The enclosure at coefficients `a`, `b`, `c` for one pair, reported as
     `kind`: the one-row case of :func:`_enclosures`.  An infinite `b` (`a`)
     gives the limit ``||D||_F`` (``||C||_F``) on both sides, where `c` drops
-    out; a non-finite enclosure is evaluated again at `a`, `b`, `c` divided
-    by the power of two of the larger coefficient and at `C`, `D` divided by
-    that of their largest part, and multiplied back: exact scalings but for
-    parts far below the largest that underflow.
+    out; a non-finite enclosure is evaluated again with the coefficients and
+    the data each scaled by :func:`matrixcore._pow2_scaled`, and the data's
+    scaling multiplied back.
     """
     C, D = _pair(C, D)
     if math.isinf(b) or math.isinf(a):
@@ -139,12 +141,9 @@ def _one_enclosure(kind: BoundKind, C, D, a: float, b: float, c: float) -> Bound
     with np.errstate(over="ignore", invalid="ignore"):
         pair = _data_enclosures(C, D, coefficients)
         if not np.isfinite(pair).all():
-            coefficients = np.ldexp(coefficients, -math.frexp(max(a, b))[1])
-            data = np.concatenate((C, D))
-            parts = data.view(np.float64)
-            e = math.frexp(np.abs(parts).max())[1]
-            scaled = np.ldexp(parts, -e).view(data.dtype)
-            pair = np.ldexp(_data_enclosures(scaled[:1], scaled[1:], coefficients), e)
+            coefficients = matrixcore._pow2_scaled(coefficients)[0]
+            data, e = matrixcore._pow2_scaled(np.concatenate((C, D)))
+            pair = np.ldexp(_data_enclosures(data[:1], data[1:], coefficients), e)
     (lower,), (upper,) = pair.tolist()
     return BoundPair(lower=lower, upper=upper, kind=kind)
 

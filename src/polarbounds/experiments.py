@@ -14,9 +14,11 @@ numpy's generator on one key, and on a mismatch every trial is drawn from
 its own ``default_rng`` instead.  One stacked ``eigvalsh``, vectorised
 separations and bound parameters, and one BLAS ``nrm2`` call per matrix of
 each norm stack then give every trial the same floating-point values as
-evaluating it alone.  Test i takes five norm stacks; tests ii-v take two,
-the drawn data matrix and the weighted blend ``a C + b D``, and scale the
-first for the others.
+evaluating it alone.  Test i takes five norm stacks.  Tests ii-v take
+``C = c X`` and ``D = d X`` for one drawn `X`, with ``(c, d)`` from the table
+``_RELATIONS``, and two norm stacks, ``||X||_F`` and the weighted blend
+``a C + b D``; ``|c|``, ``|d|``, ``|c - d|`` and ``|c + d|`` times the first
+give the others.
 
 A call of several chunks splits them over ``min(CPUs available, chunks)``
 workers where the platform has ``os.fork`` and ``os.sched_getaffinity``
@@ -190,10 +192,19 @@ def run_example() -> ExampleReport:
     )
 
 
+# Tests ii-v draw one data matrix X and take C = c X and D = d X, exactly.
+_RELATIONS = {
+    ComparisonTest.ZERO_D: (1.0, 0.0),
+    ComparisonTest.ZERO_C: (0.0, 1.0),
+    ComparisonTest.OPPOSITE: (1.0, -1.0),
+    ComparisonTest.EQUAL: (1.0, 1.0),
+}
+
+
 def _raw_shape(test: ComparisonTest, n: int, dist: SampleDistribution) -> tuple:
-    """Shape of one trial's draws: A1, B1, then C and/or D, each n x n;
-    complex Gaussian entries take a real and an imaginary part."""
-    count = 4 if test is ComparisonTest.INDEPENDENT else 3
+    """Shape of one trial's draws: A1, B1, then C and D or, in `_RELATIONS`,
+    X, each n x n; complex Gaussian entries take a real and an imaginary part."""
+    count = 3 if test in _RELATIONS else 4
     if dist is SampleDistribution.UNIFORM_REAL:
         return (count, n, n)
     return (count, 2, n, n)
@@ -220,17 +231,10 @@ def _split(raw: np.ndarray, test: ComparisonTest, dist: SampleDistribution):
         X += raw[:, :, 0]
         X /= math.sqrt(2.0)
     A1, B1, third = X[:, 0], X[:, 1], X[:, 2]
-    if test is ComparisonTest.INDEPENDENT:
-        C, D = third, X[:, 3]
-    elif test is ComparisonTest.ZERO_D:
-        C, D = third, np.zeros_like(third)
-    elif test is ComparisonTest.ZERO_C:
-        C, D = np.zeros_like(third), third
-    elif test is ComparisonTest.OPPOSITE:
-        C, D = third, -third
-    else:
-        C, D = third, third
-    return A1, B1, C, D
+    if test not in _RELATIONS:
+        return A1, B1, third, X[:, 3]
+    c, d = _RELATIONS[test]
+    return A1, B1, c * third, d * third
 
 
 def _gram(M: np.ndarray) -> np.ndarray:
@@ -297,17 +301,6 @@ def _attempt(
     return wa, wb, C, D, sep, overlap
 
 
-# ||C||, ||D||, ||C - D|| and ||C + D|| of tests ii-v as multiples of the
-# drawn matrix's norm: exact, as negation and scaling by 2 are exact in any
-# nrm2 that neither overflows nor underflows (ROADMAP, "What `nrm2` computes here").
-_NORM_MULTIPLES = {
-    ComparisonTest.ZERO_D: (1.0, 0.0, 1.0, 1.0),
-    ComparisonTest.ZERO_C: (0.0, 1.0, 1.0, 1.0),
-    ComparisonTest.OPPOSITE: (1.0, 1.0, 2.0, 0.0),
-    ComparisonTest.EQUAL: (1.0, 1.0, 0.0, 2.0),
-}
-
-
 def _tally_range(
     seed: int, start: int, stop: int, test: ComparisonTest, n: int, dist: SampleDistribution
 ) -> tuple[int, int, int, int]:
@@ -334,11 +327,14 @@ def _tally_range(
         )
     weighted, symmetric = bounds._stacked_params(wa, wb)
     blend = bounds._blends(C, D, weighted.a, weighted.b)
-    if test is ComparisonTest.INDEPENDENT:
+    if test not in _RELATIONS:
         fc, fd, diff, total = map(matrixcore._frobenius_norms, (C, D, C - D, C + D))
     else:
-        drawn = matrixcore._frobenius_norms(D if test is ComparisonTest.ZERO_C else C)
-        fc, fd, diff, total = (m * drawn for m in _NORM_MULTIPLES[test])
+        # Exact multiples of ||X||, as negation and doubling are exact in an
+        # nrm2 that neither overflows nor underflows (ROADMAP, "What `nrm2` computes here").
+        c, d = _RELATIONS[test]
+        drawn = matrixcore._frobenius_norms(C if c else D)
+        fc, fd, diff, total = (abs(m) * drawn for m in (c, d, c - d, c + d))
     ub_separation = bounds._separation_uppers(fc, fd, sep)
     _, ub_weighted = bounds._enclosures(blend, diff, weighted.a, weighted.b, weighted.c)
     ones = np.ones_like(symmetric.mu)
@@ -450,7 +446,7 @@ def run_montecarlo(config: ExperimentConfig) -> TrialTally:
     trials = _integer(config.trials, "trials", 1)
     size = _integer(config.size, "size", 1)
     seed = _integer(config.seed, "seed", 0)
-    # The kernel branches on identity, so a bare value would pick a wrong branch.
+    # The kernel looks the test up in `_RELATIONS`, so a bare value would pick test i.
     if not isinstance(config.test, ComparisonTest):
         raise DomainError(f"test must be a ComparisonTest, got {config.test!r}")
     if not isinstance(config.dist, SampleDistribution):

@@ -53,18 +53,26 @@ def require_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 def require_hermitian(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Check ``||M - M*||_F <= 1e-10 * ||M||_F``; return :func:`_hermitian_part` of `M`.
 
-    The check runs on `M` scaled by a power of two that brings its largest
-    part below 1, so neither norm overflows, and the scaling is exact but for
-    parts far below the tolerance that underflow.
+    The check runs on `M` scaled by :func:`_pow2_scaled`, so neither norm
+    overflows.
     """
     M = require_square(M, name)
-    parts = np.ascontiguousarray(M).view(np.float64)
-    S = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(M.dtype)
+    S = _pow2_scaled(M)[0]
     if frobenius_norm(S - S.conj().T) > _HERMITIAN_RTOL * frobenius_norm(S):
         raise DomainError(
             f"{name} is not Hermitian within relative tolerance {_HERMITIAN_RTOL:g}"
         )
     return _hermitian_part(M)
+
+
+def _pow2_scaled(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(M / 2^e, e)``, `e` the `frexp` exponent of the largest real or
+    imaginary part of the float64 or complex128 `M`: the package's one
+    power-of-two scaling (Anderson, "Algorithm 978: Safe scaling in the Level 1
+    BLAS", TOMS 2017), exact but for parts far below the largest that underflow."""
+    parts = np.ascontiguousarray(M).view(np.float64)
+    e = math.frexp(np.abs(parts).max())[1]
+    return np.ldexp(parts, -e).view(M.dtype), e
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:

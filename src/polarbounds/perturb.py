@@ -280,11 +280,10 @@ def psd_terms(
 
 def _combine(terms: tuple[float, float, float]) -> tuple[float, bool]:
     """``sqrt(t1^2 + t2^2 - t3^2)`` and whether a negative radicand was
-    clamped to zero.  The terms are squared after division by ``2^e``, `e`
-    the `frexp` exponent of the largest, so no square overflows; the division
-    is exact but for terms far below the largest that underflow.  An infinite
-    `t3` leaves the radicand's sign unknown: the result is NaN, never a clamp
-    to zero."""
+    clamped to zero.  The three floats are squared after the scaling of
+    :func:`matrixcore._pow2_scaled`, done here on scalars, so no square
+    overflows.  An infinite `t3` leaves the radicand's sign unknown: the
+    result is NaN, never a clamp to zero."""
     t1, t2, t3 = terms
     if math.isinf(t3):
         return math.nan, False
@@ -316,14 +315,11 @@ def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
     ``1 / sqrt(lam + 1)``.  Each term is ``G[0] + x @ G[1:]`` (see
     :func:`_affine_form`), so its squared norm is exactly the quadratic
     form of ``Re(conj(G) G^T)``.  The three `G`, which have the same shape,
-    are stacked and first divided by ``2^e``, `e` the `frexp` exponent of
-    their largest real or imaginary part, as :func:`_combine` divides its
-    terms; ``4^e`` does not move the minimizer of `Q`.  `Q` is symmetric
-    up to round-off.
+    are stacked and scaled together by :func:`matrixcore._pow2_scaled`;
+    ``4^e`` does not move the minimizer of `Q`.  `Q` is symmetric up to
+    round-off.
     """
-    parts = np.concatenate(sc._forms[family]).view(np.float64)
-    e = math.frexp(np.abs(parts).max())[1]
-    rows = np.ldexp(parts, -e).view(np.complex128).reshape(3, 5, -1)
+    rows = matrixcore._pow2_scaled(np.concatenate(sc._forms[family]))[0].reshape(3, 5, -1)
     weights = (1.0, 1.0, -1.0 / (sc.lam + 1.0))
     Q = np.zeros((5, 5))
     for G, weight in zip(rows, weights):

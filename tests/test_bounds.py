@@ -78,6 +78,23 @@ class TestSpectralSeparation:
             spectral_separation([], [1.0])
 
 
+@pytest.mark.parametrize(
+    "form, names, partner",
+    [
+        (spectral_separation, ("omega", "gamma"), [-1.0]),
+        (weighted_params_from_spectra, ("spectrum_a", "spectrum_b"), [1.0, 2.0]),
+        (symmetric_params_from_spectra, ("spectrum_a", "spectrum_b"), [1.0, 2.0]),
+    ],
+)
+def test_spectra_must_be_one_dimensional(form, names, partner):
+    # A matrix passed in place of its eigenvalues is not flattened into a spectrum.
+    matrix = np.array([[2.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(DomainError, match=names[0]):
+        form(matrix, partner)
+    with pytest.raises(DomainError, match=names[1]):
+        form(partner, np.ones((2, 2, 2)))
+
+
 class TestStackedForms:
     """The stacked forms equal the one-pair functions bit for bit."""
 

@@ -350,6 +350,33 @@ class TestExtremeScales:
         assert perturb_mod._combine((math.inf, 1.0, 1.0)) == (math.inf, False)
 
 
+def test_bounds_dominate_the_exact_factor_changes_next_to_the_rank_cutoff():
+    """With ``sigma_r`` at 2 times the rank cutoff the double SVDs err by
+    about ``eps ||A||``, the size of ``sigma_r`` itself, so the computed
+    factor changes can exceed the bounds.  The bounds at (1, 1) still
+    dominate the changes of the polar factors from 50-digit SVDs of `A` and
+    of the exact ``B = D1* A D2``."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact_polar(M):
+        P, sigma, Qh = mpmath.svd_c(M)  # M = P diag(sigma) Qh, all kept
+        return P * Qh, Qh.H * mpmath.diag(sigma) * Qh
+
+    cutoff = matrixcore.rank_cutoff((3, 3), 1.0)
+    for seed in range(20):
+        rng = np.random.default_rng((12345, seed))
+        P, Q = (np.linalg.qr(complex_gaussian(rng, (3, 3)))[0] for _ in range(2))
+        A = (P * [1.0, 0.7, 2 * cutoff]) @ Q.conj().T
+        D1, D2 = (np.eye(3) + 0.01 * complex_gaussian(rng, (3, 3)) for _ in range(2))
+        report = subunitary_bound(make_scenario(A, D1, D2))
+        with mpmath.workdps(50):
+            A_, D1_, D2_ = (mpmath.matrix(M.tolist()) for M in (A, D1, D2))
+            (U, H), (V, G) = exact_polar(A_), exact_polar(D1_.H * A_ * D2_)
+            changes = [float(mpmath.mnorm(M, "f")) for M in (V - U, G - H)]
+        assert changes[0] <= report.subunitary_bound, seed
+        assert changes[1] <= report.psd_bound, seed
+
+
 # (terms, term matrices, bound, report field) for each of the two bounds.
 BOUND_KINDS = {
     "subunitary": (
