@@ -12,9 +12,10 @@ Gaussian draws come from numpy's own ziggurat on one generator set to each
 trial's state in turn.  On first use the batch draws are checked against
 numpy's generator on one key, and on a mismatch every trial is drawn from
 its own ``default_rng`` instead.  One stacked ``eigvalsh``, vectorised
-separations and bound parameters, and one BLAS ``nrm2`` call per matrix of
-each norm stack then give every trial the same floating-point values as
-evaluating it alone.  Test i takes five norm stacks.  Tests ii-v take
+separations and bound parameters, and norm stacks rounded as one BLAS
+``nrm2`` call per matrix rounds (for 3 x 3 trials, the kernel's x87 rule in
+long double; see ``matrixcore._frobenius_norms``) then give every trial the
+same floating-point values as evaluating it alone.  Test i takes five norm stacks.  Tests ii-v take
 ``C = c X`` and ``D = d X`` for one drawn `X`, with ``(c, d)`` from the table
 ``_RELATIONS``, and two norm stacks, ``||X||_F`` and the weighted blend
 ``a C + b D``; ``|c|``, ``|d|``, ``|c - d|`` and ``|c + d|`` times the first

@@ -3,15 +3,22 @@
 Everything operates on 2-D real or complex arrays in double precision.
 Rank decisions follow one fixed rule throughout: a singular value or PSD
 eigenvalue counts as zero at or below ``max(m, n) * eps * sigma_max``.
+
+Frobenius norms follow the rounding of the ``nrm2`` kernel of the OpenBLAS
+in scipy's x86-64 wheels.  A single norm is one call of that kernel; a
+stack of small matrices evaluates the kernel's x87 rule in long double
+(:func:`_frobenius_norms`).  ``scipy.linalg`` is imported on the first call
+that needs BLAS, so a process that only runs the Monte Carlo comparison
+never imports it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas as _blas
 
 from .exceptions import DomainError, MatrixFormatError, NumericalError
 
@@ -26,6 +33,17 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+# Matrices of at most this many doubles (a 3 x 3 complex one) have their
+# stacked norms from the long double model of `nrm2`.  Per matrix of a
+# 4096-stack, model against one BLAS call (2-CPU x86-64 Xeon, numpy 2.4.6):
+# 0.09 us against 0.19 us at 9 doubles, 0.19 us against 0.20 us at 18, and
+# 0.21 us against 0.20 us at 20, past the crossover.  A stack of one matrix
+# costs about 8 us against 1.1 us; the single-pair bounds pay that, so that
+# no stack of small matrices imports scipy.linalg.
+_MODEL_MAX_PARTS = 18
+# Long double is the x87 80-bit format, whose 64-bit significand the model
+# needs; elsewhere every stack calls BLAS.
+_X87_LONG_DOUBLE = np.finfo(np.longdouble).nmant == 63
 # Relative tolerance of the Hermitian and PSD checks on coefficients.
 _HERMITIAN_RTOL = 1e-10
 
@@ -126,22 +144,33 @@ def frobenius_norm(M) -> float:
     return norm
 
 
+@functools.cache
+def _blas():
+    """scipy's BLAS wrappers, imported on first use: importing ``scipy.linalg``
+    takes about 0.3 s and 21 MB, which the Monte Carlo path does not need."""
+    from scipy.linalg import blas
+
+    return blas
+
+
 def _nrm2(M: np.ndarray) -> float:
     """:func:`frobenius_norm` of a float64 or complex128 array, unchecked."""
     v = np.ascontiguousarray(np.ravel(M))
     if np.iscomplexobj(v):
-        return float(_blas.dznrm2(v))
-    return float(_blas.dnrm2(v))
+        return float(_blas().dznrm2(v))
+    return float(_blas().dnrm2(v))
 
 
 def _frobenius_norms(M: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix ``M[i]`` of a 3-D float64 or complex128 stack.
 
-    One call of the same ``nrm2`` kernel as :func:`frobenius_norm` per
-    matrix, on the same entries in the same order, so each norm equals
-    ``frobenius_norm(M[i])`` bit for bit.  :func:`frobenius_norm`, called 27
-    times per `perturb` benchmark op, skips this: for a 5 x 4 complex matrix
-    it takes 1.3 us, this 2.1 us (2-CPU x86-64 Xeon, numpy 2.4.6).
+    Each norm equals ``frobenius_norm(M[i])`` bit for bit.  Matrices of at
+    most ``_MODEL_MAX_PARTS`` doubles take :func:`_x87_norms`, the kernel's
+    rule in long double; larger ones, and every stack where long double is
+    not the x87 format, take one BLAS call per matrix.  :func:`frobenius_norm`,
+    called 27 times per `perturb` benchmark op, skips this: for a 5 x 4
+    complex matrix it takes 1.4 us, this 2.5 us (2-CPU x86-64 Xeon, numpy
+    2.4.6).
     """
     if M.ndim != 3 or M.dtype not in (np.float64, np.complex128):
         raise DomainError(
@@ -149,8 +178,37 @@ def _frobenius_norms(M: np.ndarray) -> np.ndarray:
             f"and dtype {M.dtype}"
         )
     rows = np.ascontiguousarray(M).reshape(M.shape[0], -1)
-    nrm2 = _blas.dznrm2 if np.iscomplexobj(rows) else _blas.dnrm2
+    parts = rows.view(np.float64)
+    if _X87_LONG_DOUBLE and parts.shape[1] <= _MODEL_MAX_PARTS:
+        return _x87_norms(parts, np.iscomplexobj(rows))
+    nrm2 = _blas().dznrm2 if np.iscomplexobj(rows) else _blas().dnrm2
     return np.fromiter(map(nrm2, rows), dtype=np.float64, count=rows.shape[0])
+
+
+def _x87_norms(parts: np.ndarray, pairs: bool) -> np.ndarray:
+    """``nrm2`` of each row of the 2-D float64 `parts`, a row of real and
+    imaginary parts in turn if `pairs`, by the x87 rule of OpenBLAS's
+    SkylakeX kernels (ROADMAP, "What `nrm2` computes here").
+
+    The squares go unscaled, in 80-bit long double, into four partial sums
+    `A`, `B`, `C`, `D`: the first ``8 * (n // 8)`` of the `n` parts by index
+    mod 4, the rest to `A` in order, or, if `pairs`, real parts to `A` and
+    imaginary parts to `B`.  The norm is ``sqrt(D + ((C + A) + B))`` in long
+    double, rounded to a double, as the kernel's ``fsqrt`` and store round
+    it.  Each lane is summed in sequence, one column of the transposed
+    squares at a time, as numpy's reductions may sum pairwise.  A norm
+    beyond the largest double gives inf, as BLAS does.
+    """
+    n = parts.shape[1]
+    squares = parts.T.astype(np.longdouble, order="C")
+    np.square(squares, out=squares)
+    blocked = n - n % 8
+    lanes = ([], [], [], [])
+    for i in range(n):
+        lanes[i % 4 if i < blocked else i % 2 if pairs else 0].append(squares[i])
+    A, B, C, D = (functools.reduce(np.add, lane) if lane else 0.0 for lane in lanes)
+    with np.errstate(over="ignore"):
+        return np.sqrt(D + ((C + A) + B)).astype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)

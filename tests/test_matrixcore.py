@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +13,44 @@ from hypothesis.extra import numpy as hnp
 from polarbounds import matrixcore
 from polarbounds.exceptions import DomainError, MatrixFormatError, NumericalError
 from conftest import PROPERTY, complex_gaussian, rank_r_matrix, random_psd
+
+
+def _blas_norms(rows):
+    """One BLAS ``nrm2`` call per row of a 2-D float64 or complex128 array."""
+    blas = matrixcore._blas()
+    nrm2 = blas.dznrm2 if np.iscomplexobj(rows) else blas.dnrm2
+    return np.array([nrm2(row) for row in rows])
+
+
+def _extreme_parts(rng, rows, parts):
+    """`rows` x `parts` doubles at per-entry scales from 1e-320 to 1e308,
+    with rows of +0, of -0, holding a NaN, holding an inf, and of parts
+    whose squares sum beyond the largest double."""
+    out = rng.uniform(-1.0, 1.0, (rows, parts)) * 10.0 ** rng.uniform(-320, 308, (rows, parts))
+    out[::7] = 0.0
+    out[1::7] = -0.0
+    out[2::7, rng.integers(parts)] = np.nan
+    out[3::7, rng.integers(parts)] = -np.inf
+    out[4::7] = np.copysign(1.5e308, out[4::7])
+    return out
+
+
+def _tie_parts(rng, rows, parts):
+    """`rows` x `parts` doubles whose norms the order of the sum decides.
+
+    Each row holds 1, 2^-26 and a few multiples of 2^-33, permuted, signed
+    and scaled by a power of two, so every square is exact in 80 bits and
+    each addition to the unit square rounds, often a tie, near the sum
+    ``(1 + 2^-53)^2`` whose square root lies midway between two doubles.
+    Another lane order or grouping of the x87 rule changes dozens of the
+    norms at most row lengths.
+    """
+    out = rng.integers(1, 4, (rows, parts)) * 2.0**-33
+    out *= rng.random((rows, parts)) < 6 / parts
+    out[:, 0] = 1.0
+    out[:, 1:2] = 2.0**-26
+    out = rng.permuted(out, axis=1) * rng.choice([-1.0, 1.0], (rows, parts))
+    return out * 2.0 ** rng.integers(-900, 900, (rows, 1))
 
 
 class TestFrobeniusNorm:
@@ -77,6 +119,56 @@ class TestFrobeniusNorms:
     def test_rejects_two_dimensional_input(self):
         with pytest.raises(DomainError):
             matrixcore._frobenius_norms(np.eye(3))
+
+    @pytest.mark.skipif(not matrixcore._X87_LONG_DOUBLE, reason="long double is not x87")
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_model_matches_blas_bitwise(self, complex_entries):
+        # Every row length the model takes, at every scale, in both dtypes.
+        rng = np.random.default_rng(109)
+        step = 2 if complex_entries else 1
+        for parts in range(step, matrixcore._MODEL_MAX_PARTS + 1, step):
+            rows = np.concatenate((_extreme_parts(rng, 700, parts), _tie_parts(rng, 700, parts)))
+            if complex_entries:
+                rows = rows.view(np.complex128)
+            expected = _blas_norms(rows).tobytes()
+            assert matrixcore._x87_norms(rows.view(np.float64), complex_entries).tobytes() == expected
+            assert matrixcore._frobenius_norms(rows[:, None, :]).tobytes() == expected
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_blas_above_the_model_limit(self, complex_entries, monkeypatch):
+        def unused(parts, pairs):
+            raise AssertionError("the model ran above its limit")
+
+        monkeypatch.setattr(matrixcore, "_x87_norms", unused)
+        rng = np.random.default_rng(113)
+        rows = _extreme_parts(rng, 700, matrixcore._MODEL_MAX_PARTS + (2 if complex_entries else 1))
+        if complex_entries:
+            rows = rows.view(np.complex128)
+        norms = matrixcore._frobenius_norms(rows[:, None, :])
+        assert norms.tobytes() == _blas_norms(rows).tobytes()
+
+
+class TestLazyBlas:
+    def test_monte_carlo_never_imports_scipy_linalg(self):
+        # A fresh interpreter: this one imported scipy.linalg long ago.
+        root = str(pathlib.Path(matrixcore.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+        script = (
+            "import sys\n"
+            "import polarbounds as pb\n"
+            "for dist in pb.SampleDistribution:\n"
+            "    pb.run_montecarlo(pb.ExperimentConfig(trials=64, size=3, dist=dist))\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "pb.frobenius_norm([[3.0, 4.0]])\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
 
 class TestSvd:

@@ -6,7 +6,7 @@ Usage, from the root of a checkout:
     python3 tools/bitcheck.py --src /path/to/another/checkout/src
 
 Two source trees whose printed numbers agree bit for bit print the same
-four lines, so a refactor that must keep its outputs can be checked by
+five lines, so a refactor that must keep its outputs can be checked by
 running this on the tree before and after it.  The areas:
 
 - ``montecarlo``: the tallies of ``run_montecarlo`` for tests i-v, both
@@ -18,7 +18,10 @@ running this on the tree before and after it.  The areas:
   scenarios, with `A` scaled from 1e-300 up to the edge of overflow;
 - ``enclosures``: the midpoint, weighted and symmetric enclosures and
   ``matrixcore.require_hermitian`` at extreme scales, including data whose
-  norms overflow.
+  norms overflow;
+- ``norms``: ``matrixcore._frobenius_norms`` of stacks of matrices of every
+  size from 1 to 20 doubles, real and complex, with entries from 1e-320 to
+  beyond the largest double, signed zeros, NaN and inf.
 
 Each digest hashes the ``repr`` of every value, so floats count to the
 last bit; an exception counts by its type and message.  The script takes
@@ -128,11 +131,32 @@ def _enclosures():
             yield hermitian if isinstance(hermitian, tuple) else hermitian.tobytes()
 
 
+def _norms():
+    from polarbounds import matrixcore
+
+    # Up to 18 doubles a stack's norms come from the long double model of
+    # nrm2, and beyond that from BLAS.
+    for parts in range(1, 21):
+        for complex_entries in (False, True)[: 2 - parts % 2]:
+            rng = np.random.default_rng((1618, parts, complex_entries))
+            rows = rng.standard_normal((1800, parts))
+            rows[:900] *= 10.0 ** rng.uniform(-320, 308, (900, parts))
+            rows[900:] *= np.resize(_SCALES, (900, 1))
+            rows[::50] = 0.0
+            rows[1::50] = -0.0
+            rows[2::50, rng.integers(parts)] = np.nan
+            rows[3::50, rng.integers(parts)] = np.inf
+            if complex_entries:
+                rows = rows.view(np.complex128)
+            yield matrixcore._frobenius_norms(rows[:, None, :]).tobytes()
+
+
 AREAS = {
     "montecarlo": _montecarlo,
     "sweep": _sweep,
     "perturb": _perturb,
     "enclosures": _enclosures,
+    "norms": _norms,
 }
 
 
