@@ -159,6 +159,9 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
     DomainError
         On shape mismatch or if either perturber is singular within
         working precision.  A condition number above 1e12 only warns.
+    NumericalError
+        If a singular value of `A` or `B` overflows the largest double, so
+        that LAPACK returns it as inf or NaN.
     """
     A = matrixcore.as_matrix(A, "A")
     D1 = matrixcore.require_square(D1, "D1")
@@ -173,6 +176,9 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
     d2_inv = _checked_inverse(D2, "D2")
     B = (D1.conj().T @ A) @ D2
     svd_a, svd_b = matrixcore.svd(A), matrixcore.svd(B)
+    for name, f in (("A", svd_a), ("B = D1* A D2", svd_b)):
+        if not np.isfinite(f.sigma).all():
+            raise NumericalError(f"a singular value of {name} overflows the largest double")
     polar_a, polar_b = _polar_from_svd(svd_a), _polar_from_svd(svd_b)
     norm_a, norm_b = float(svd_a.sigma[0]), float(svd_b.sigma[0])
     # The smallest kept singular value; inf at rank 0 gives a ratio of 0.
@@ -282,8 +288,9 @@ def _combine(terms: tuple[float, float, float]) -> tuple[float, bool]:
     """``sqrt(t1^2 + t2^2 - t3^2)`` and whether a negative radicand was
     clamped to zero.  The three floats are squared after the scaling of
     :func:`matrixcore._pow2_scaled`, done here on scalars, so no square
-    overflows.  An infinite `t3` leaves the radicand's sign unknown: the
-    result is NaN, never a clamp to zero."""
+    overflows; a result beyond the largest double gives inf, as
+    :func:`matrixcore.frobenius_norm` does.  An infinite `t3` leaves the
+    radicand's sign unknown: the result is NaN, never a clamp to zero."""
     t1, t2, t3 = terms
     if math.isinf(t3):
         return math.nan, False
@@ -292,7 +299,10 @@ def _combine(terms: tuple[float, float, float]) -> tuple[float, bool]:
     radicand = t1 * t1 + t2 * t2 - t3 * t3
     if radicand < 0.0:
         return 0.0, True
-    return math.ldexp(math.sqrt(radicand), e), False
+    try:
+        return math.ldexp(math.sqrt(radicand), e), False
+    except OverflowError:
+        return math.inf, False
 
 
 def _report_at(scenario: PerturbationScenario, s: complex, t: complex) -> PolarPerturbReport:

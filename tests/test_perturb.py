@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from polarbounds import bounds, matrixcore
 from polarbounds import perturb as perturb_mod
-from polarbounds.exceptions import DomainError
+from polarbounds.exceptions import DomainError, NumericalError
 from polarbounds.perturb import (
     SearchStrategy,
     chen_li_sun_bound,
@@ -348,6 +348,28 @@ class TestExtremeScales:
 
     def test_infinite_leading_term_gives_infinite_bound(self):
         assert perturb_mod._combine((math.inf, 1.0, 1.0)) == (math.inf, False)
+
+    def test_bound_beyond_the_largest_double_is_inf(self):
+        # rho is about 1.72e308 and the direct term 7.2e307: both finite,
+        # their hypotenuse is not.
+        sc = make_scenario(8e307 * np.array([[1.0, 0.5]]), [[1.0]], np.diag([0.2, 1.0]))
+        assert math.isfinite(sc.lam)
+        assert hong_meng_zheng_bound(sc) == math.inf
+        assert perturb_mod._combine((1.5e308, 1.5e308, 1.0)) == (math.inf, False)
+
+    @pytest.mark.parametrize(
+        "A, D1, name",
+        [
+            (1.5e308 * np.array([[1.0, 1.0]]), [[1.0]], "A"),
+            (8e307 * np.array([[1.0, 0.5, 0.5]]), [[2.0]], "B"),
+        ],
+        ids=["A", "B"],
+    )
+    def test_singular_value_beyond_the_largest_double_raises(self, A, D1, name):
+        # The entries are finite, sigma_max is not.  LAPACK returns inf or
+        # NaN for it, which made lam NaN or inf and the bounds meaningless.
+        with pytest.raises(NumericalError, match=f"singular value of {name}"):
+            make_scenario(A, D1, np.eye(A.shape[1]))
 
 
 def test_bounds_dominate_the_exact_factor_changes_next_to_the_rank_cutoff():
