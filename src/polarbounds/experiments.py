@@ -15,11 +15,11 @@ its own ``default_rng`` instead.  One stacked ``eigvalsh``, vectorised
 separations and bound parameters, and norm stacks rounded as one BLAS
 ``nrm2`` call per matrix rounds (for 3 x 3 trials, the kernel's x87 rule in
 long double; see ``matrixcore._frobenius_norms``) then give every trial the
-same floating-point values as evaluating it alone.  Test i takes five norm stacks.  Tests ii-v take
-``C = c X`` and ``D = d X`` for one drawn `X`, with ``(c, d)`` from the table
-``_RELATIONS``, and two norm stacks, ``||X||_F`` and the weighted blend
-``a C + b D``; ``|c|``, ``|d|``, ``|c - d|`` and ``|c + d|`` times the first
-give the others.
+same floating-point values as evaluating it alone.  Test i takes five norm
+stacks.  Tests ii-v take ``C = c X`` and ``D = d X`` for one drawn `X`, with
+``(c, d)`` from the table ``_RELATIONS``, and two norm stacks, ``||X||_F``
+and the weighted blend ``a C + b D``; ``|c|``, ``|d|``, ``|c - d|`` and
+``|c + d|`` times the first give the others.
 
 A call of several chunks splits them over ``min(CPUs available, chunks)``
 workers where the platform has ``os.fork`` and ``os.sched_getaffinity``

@@ -178,10 +178,11 @@ def _frobenius_norms(M: np.ndarray) -> np.ndarray:
             f"and dtype {M.dtype}"
         )
     rows = np.ascontiguousarray(M).reshape(M.shape[0], -1)
+    pairs = np.iscomplexobj(rows)
     parts = rows.view(np.float64)
     if _X87_LONG_DOUBLE and parts.shape[1] <= _MODEL_MAX_PARTS:
-        return _x87_norms(parts, np.iscomplexobj(rows))
-    nrm2 = _blas().dznrm2 if np.iscomplexobj(rows) else _blas().dnrm2
+        return _x87_norms(parts, pairs)
+    nrm2 = _blas().dznrm2 if pairs else _blas().dnrm2
     return np.fromiter(map(nrm2, rows), dtype=np.float64, count=rows.shape[0])
 
 

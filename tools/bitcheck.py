@@ -137,7 +137,7 @@ def _norms():
     # Up to 18 doubles a stack's norms come from the long double model of
     # nrm2, and beyond that from BLAS.
     for parts in range(1, 21):
-        for complex_entries in (False, True)[: 2 - parts % 2]:
+        for complex_entries in (False, True) if parts % 2 == 0 else (False,):
             rng = np.random.default_rng((1618, parts, complex_entries))
             rows = rng.standard_normal((1800, parts))
             rows[:900] *= 10.0 ** rng.uniform(-320, 308, (900, parts))
