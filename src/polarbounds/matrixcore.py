@@ -35,11 +35,11 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 # Matrices of at most this many doubles (a 3 x 3 complex one) have their
 # stacked norms from the long double model of `nrm2`.  Per matrix of a
-# 4096-stack, model against one BLAS call (2-CPU x86-64 Xeon, numpy 2.4.6):
-# 0.09 us against 0.19 us at 9 doubles, 0.19 us against 0.20 us at 18, and
-# 0.21 us against 0.20 us at 20, past the crossover.  A stack of one matrix
-# costs about 8 us against 1.1 us; the single-pair bounds pay that, so that
-# no stack of small matrices imports scipy.linalg.
+# 4096-stack, model against one BLAS call (2-CPU x86-64 Xeon, numpy 2.4.6,
+# BENCH_22.json): 0.09 us against 0.17 us at 9 doubles, 0.17 us against
+# 0.17 us at 18, the crossover, and 0.19 us against 0.17 us at 20.  A stack
+# of one matrix costs about 8 us against 1.0 us; the single-pair bounds pay
+# that, so that no stack of small matrices imports scipy.linalg.
 _MODEL_MAX_PARTS = 18
 # Long double is the x87 80-bit format, whose 64-bit significand the model
 # needs; elsewhere every stack calls BLAS.

@@ -132,7 +132,8 @@ class TestFrobeniusNorms:
             if complex_entries:
                 rows = rows.view(np.complex128)
             expected = _blas_norms(rows).tobytes()
-            assert matrixcore._x87_norms(rows.view(np.float64), complex_entries).tobytes() == expected
+            model = matrixcore._x87_norms(rows.view(np.float64), complex_entries)
+            assert model.tobytes() == expected
             assert matrixcore._frobenius_norms(rows[:, None, :]).tobytes() == expected
 
     @pytest.mark.parametrize("complex_entries", [False, True])
