@@ -10,9 +10,11 @@ already dominates the classical bounds.  The radicand is a real quadratic
 in the real and imaginary parts of ``s`` and ``t``, so the best probe has a
 closed form, and it can only tighten the result.
 
-The bound families are indexed 0 (subunitary) and 1 (PSD).  A scenario
-keeps each family's term matrices in affine form and its report at (1, 1),
-so the terms of each (family, probe) pair are evaluated once.
+The bound families are indexed 0 (subunitary) and 1 (PSD).  Both come
+from one build of the six term matrices, which forms each product they
+share once.  A scenario keeps each family's term matrices in affine form
+and its report at (1, 1), so the terms of each (family, probe) pair are
+evaluated once.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ class PerturbationScenario:
     each bound, is ``max(||pinv(A)||_2 ||B||_2, ||A||_2 ||pinv(B)||_2, 1)``
     by the rule of :func:`bounds._lambdas`.  Computed on first use and
     kept: `_forms`, the term matrices of the subunitary and the PSD bound
-    (families 0 and 1) as affine functions of the probe; `_report_11`, the
-    report at (1, 1); and `_factor_diffs`, the true factor changes.
+    (families 0 and 1) as affine functions of the probe, and
+    `_forms_finite`, whether they are finite; `_report_11`, the report at
+    (1, 1); and `_factor_diffs`, the true factor changes.
     """
 
     A: np.ndarray
@@ -87,7 +90,24 @@ class PerturbationScenario:
 
     @cached_property
     def _forms(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        return _affine_form(self, _subunitary_matrices), _affine_form(self, _psd_matrices)
+        """The three terms of each family in affine form, from one batched build.
+
+        Each term matrix is affine in `s`, `conj(s)`, `t` and `conj(t)`, hence
+        real-affine in ``x = (Re s - 1, Im s, Re t - 1, Im t)``: its value at
+        (1, 1) and its changes along the four unit steps determine it.  Each
+        term is a 5 x N array `G`: ``G[0]`` is the term matrix at (1, 1),
+        flattened, and ``G[1:]`` are the changes, so ``T(x) = G[0] + x @ G[1:]``.
+        """
+        forms = tuple(
+            np.concatenate((T[:1], T[1:] - T[0])).reshape(5, -1)
+            for T in _term_matrices(self, _PROBE_S, _PROBE_T)
+        )
+        return forms[:3], forms[3:]
+
+    @cached_property
+    def _forms_finite(self) -> bool:
+        """Whether every entry of the six forms is finite: no step overflowed."""
+        return all(np.isfinite(G).all() for forms in self._forms for G in forms)
 
     @cached_property
     def _report_11(self) -> PolarPerturbReport:
@@ -199,56 +219,34 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
     )
 
 
-def _subunitary_matrices(sc: PerturbationScenario, s, t):
-    """The three matrices whose Frobenius norms bound ``||V - U||_F``.
+def _term_matrices(sc: PerturbationScenario, s, t) -> tuple[np.ndarray, ...]:
+    """The six term matrices at probe ``(s, t)``: first the three whose
+    Frobenius norms bound ``||V - U||_F``, then the three that bound
+    ``|| |B| - |A| ||_F``.
 
     `s` and `t` are complex scalars, or ``(k, 1, 1)`` arrays for a stack
-    of `k` evaluations per term.
+    of `k` evaluations per term.  Each product that several terms share is
+    formed once.
     """
-    U, V = sc.polar_a.U, sc.polar_b.U
-    corange_a, range_b = U.conj().T @ U, V @ V.conj().T
-    Im, In = (np.eye(k, dtype=np.complex128) for k in sc.A.shape)
-    D1a, D2a = sc.D1.conj().T, sc.D2.conj().T
-    t1 = V @ (In - t * sc.d2_inv) + range_b @ (np.conj(s) * sc.d1_inv - Im) @ U
-    t2 = U.conj().T @ (np.conj(t) * sc.D1 - Im) + corange_a @ (In - s * sc.D2) @ V.conj().T
-    t3 = (
-        V @ (np.conj(s) * D2a - t * sc.d2_inv) @ corange_a
-        + range_b @ (np.conj(s) * sc.d1_inv - t * D1a) @ U
-    )
-    return t1, t2, t3
-
-
-def _psd_matrices(sc: PerturbationScenario, s, t):
-    """The three matrices whose Frobenius norms bound ``|| |B| - |A| ||_F``;
-    `s` and `t` as in :func:`_subunitary_matrices`."""
-    U, V = sc.polar_a.U, sc.polar_b.U
-    corange_a, corange_b = U.conj().T @ U, V.conj().T @ V
-    In = np.eye(sc.A.shape[1], dtype=np.complex128)
-    D1a, D2a = sc.D1.conj().T, sc.D2.conj().T
+    U, V, A = sc.polar_a.U, sc.polar_b.U, sc.A
+    Us, Vs = U.conj().T, V.conj().T
+    corange_a, corange_b, range_b = Us @ U, Vs @ V, V @ Vs
+    Im, In = (np.eye(k, dtype=np.complex128) for k in A.shape)
     abs_a, abs_b = sc.polar_a.H, sc.polar_b.H
-    left_mix = V.conj().T @ (t * D1a - np.conj(s) * sc.d1_inv) @ sc.A
-    t1 = abs_b @ (In - t * sc.d2_inv) + left_mix
-    t2 = abs_a @ (s * sc.D2 - In)
-    t3 = (
-        abs_b @ (In - t * sc.d2_inv) @ corange_a
-        + left_mix
-        - corange_b @ (np.conj(s) * D2a - In) @ abs_a
-    )
-    return t1, t2, t3
-
-
-def _affine_form(sc: PerturbationScenario, matrices) -> tuple[np.ndarray, ...]:
-    """The three terms of `matrices` in affine form, from one batched build.
-
-    Each term matrix is affine in `s`, `conj(s)`, `t` and `conj(t)`, hence
-    real-affine in ``x = (Re s - 1, Im s, Re t - 1, Im t)``: its value at
-    (1, 1) and its changes along the four unit steps determine it.  Each
-    term is a 5 x N array `G`: ``G[0]`` is the term matrix at (1, 1),
-    flattened, and ``G[1:]`` are the changes, so ``T(x) = G[0] + x @ G[1:]``.
-    """
-    return tuple(
-        np.concatenate((T[:1], T[1:] - T[0])).reshape(5, -1)
-        for T in matrices(sc, _PROBE_S, _PROBE_T)
+    cs = np.conj(s)
+    t_d2_inv = t * sc.d2_inv
+    right_inv = In - t_d2_inv
+    cs_d1_inv = cs * sc.d1_inv
+    t_d1a, cs_d2a, s_d2 = t * sc.D1.conj().T, cs * sc.D2.conj().T, s * sc.D2
+    left_mix = Vs @ (t_d1a - cs_d1_inv) @ A
+    abs_b_right = abs_b @ right_inv
+    return (
+        V @ right_inv + range_b @ (cs_d1_inv - Im) @ U,
+        Us @ (np.conj(t) * sc.D1 - Im) + corange_a @ (In - s_d2) @ Vs,
+        V @ (cs_d2a - t_d2_inv) @ corange_a + range_b @ (cs_d1_inv - t_d1a) @ U,
+        abs_b_right + left_mix,
+        abs_a @ (s_d2 - In),
+        abs_b_right @ corange_a + left_mix - corange_b @ (cs_d2a - In) @ abs_a,
     )
 
 
@@ -323,7 +321,7 @@ def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
     Here ``x = (Re s - 1, Im s, Re t - 1, Im t)`` is the step from the probe
     (1, 1), and the terms are those of `family`, `t3` scaled by
     ``1 / sqrt(lam + 1)``.  Each term is ``G[0] + x @ G[1:]`` (see
-    :func:`_affine_form`), so its squared norm is exactly the quadratic
+    :attr:`PerturbationScenario._forms`), so its squared norm is exactly the quadratic
     form of ``Re(conj(G) G^T)``.  The three `G`, which have the same shape,
     are stacked and scaled together by :func:`matrixcore._pow2_scaled`;
     ``4^e`` does not move the minimizer of `Q`.  `Q` is symmetric up to
@@ -370,9 +368,7 @@ def _bound(
     overflow, which the norms reject, is not taken.
     """
     report = scenario._report_11
-    if strategy is not SearchStrategy.OPTIMAL or not np.isfinite(
-        np.concatenate([G.ravel() for forms in scenario._forms for G in forms])
-    ).all():
+    if strategy is not SearchStrategy.OPTIMAL or not scenario._forms_finite:
         return report
     try:
         searched = _report_at(scenario, *_optimal_probe(scenario, family))

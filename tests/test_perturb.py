@@ -399,12 +399,15 @@ def test_bounds_dominate_the_exact_factor_changes_next_to_the_rank_cutoff():
         assert changes[1] <= report.psd_bound, seed
 
 
+def family_matrices(family):
+    """The three term matrices of `family` from the one build of all six."""
+    return lambda sc, s, t: perturb_mod._term_matrices(sc, s, t)[3 * family : 3 * family + 3]
+
+
 # (terms, term matrices, bound, report field) for each of the two bounds.
 BOUND_KINDS = {
-    "subunitary": (
-        subunitary_terms, perturb_mod._subunitary_matrices, subunitary_bound, "subunitary_bound"
-    ),
-    "psd": (psd_terms, perturb_mod._psd_matrices, psd_factor_bound, "psd_bound"),
+    "subunitary": (subunitary_terms, family_matrices(0), subunitary_bound, "subunitary_bound"),
+    "psd": (psd_terms, family_matrices(1), psd_factor_bound, "psd_bound"),
 }
 
 
@@ -509,7 +512,7 @@ def test_each_family_built_once_per_scenario(monkeypatch):
     # Both families' terms are evaluated once at (1, 1) and once at each
     # family's optimal probe: 6 evaluations for the four bound calls.
     calls = {}
-    for name in ("_subunitary_matrices", "_psd_matrices", "_terms"):
+    for name in ("_term_matrices", "_terms"):
         def counted(*args, _name=name, _build=getattr(perturb_mod, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _build(*args)
@@ -518,7 +521,71 @@ def test_each_family_built_once_per_scenario(monkeypatch):
     for strategy in (SearchStrategy.AT_ONE_ONE, SearchStrategy.OPTIMAL):
         subunitary_bound(sc, strategy)
         psd_factor_bound(sc, strategy)
-    assert calls == {"_subunitary_matrices": 1, "_psd_matrices": 1, "_terms": 6}
+    assert calls == {"_term_matrices": 1, "_terms": 6}
+
+
+def reference_subunitary_matrices(sc, s, t):
+    """The subunitary term matrices as built before the shared build."""
+    U, V = sc.polar_a.U, sc.polar_b.U
+    corange_a, range_b = U.conj().T @ U, V @ V.conj().T
+    Im, In = (np.eye(k, dtype=np.complex128) for k in sc.A.shape)
+    D1a, D2a = sc.D1.conj().T, sc.D2.conj().T
+    t1 = V @ (In - t * sc.d2_inv) + range_b @ (np.conj(s) * sc.d1_inv - Im) @ U
+    t2 = U.conj().T @ (np.conj(t) * sc.D1 - Im) + corange_a @ (In - s * sc.D2) @ V.conj().T
+    t3 = (
+        V @ (np.conj(s) * D2a - t * sc.d2_inv) @ corange_a
+        + range_b @ (np.conj(s) * sc.d1_inv - t * D1a) @ U
+    )
+    return t1, t2, t3
+
+
+def reference_psd_matrices(sc, s, t):
+    """The PSD term matrices as built before the shared build."""
+    U, V = sc.polar_a.U, sc.polar_b.U
+    corange_a, corange_b = U.conj().T @ U, V.conj().T @ V
+    In = np.eye(sc.A.shape[1], dtype=np.complex128)
+    D1a, D2a = sc.D1.conj().T, sc.D2.conj().T
+    abs_a, abs_b = sc.polar_a.H, sc.polar_b.H
+    left_mix = V.conj().T @ (t * D1a - np.conj(s) * sc.d1_inv) @ sc.A
+    t1 = abs_b @ (In - t * sc.d2_inv) + left_mix
+    t2 = abs_a @ (s * sc.D2 - In)
+    t3 = (
+        abs_b @ (In - t * sc.d2_inv) @ corange_a
+        + left_mix
+        - corange_b @ (np.conj(s) * D2a - In) @ abs_a
+    )
+    return t1, t2, t3
+
+
+def test_shared_build_is_byte_equal_to_the_two_family_builds():
+    # Sizes 1-6, real and complex A of every rank, A scaled from 1e-300 to
+    # 8e307, and perturbers I + eps E from eps = 1e-3 to 0.5.
+    scales = (1.0, 1e-300, 1e-150, 1e150, 1e300, 4e307, 8e307)
+    probes = [(perturb_mod._PROBE_S, perturb_mod._PROBE_T), (1.0, 1.0), (0.3 - 2j, 1.5 + 0.25j)]
+    checked = 0
+    for seed in range(120):
+        rng = np.random.default_rng((521, seed))
+        m, n = (int(k) for k in rng.integers(1, 7, size=2))
+        rank = seed % (min(m, n) + 1)
+        A = rank_r_matrix(rng, m, n, rank, complex_entries=bool(seed % 2))
+        if A.any():
+            A = A / np.abs(A).max() * scales[seed % len(scales)]
+        eps = (1e-3, 1e-2, 0.1, 0.5)[seed // 2 % 4]
+        D1 = np.eye(m) + eps * complex_gaussian(rng, (m, m))
+        D2 = np.eye(n) + eps * complex_gaussian(rng, (n, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                sc = make_scenario(A, D1, D2)
+            except (DomainError, NumericalError):  # B = D1* A D2 or a singular value overflows
+                continue
+            checked += 1
+            for s, t in probes:
+                got = perturb_mod._term_matrices(sc, s, t)
+                want = (*reference_subunitary_matrices(sc, s, t), *reference_psd_matrices(sc, s, t))
+                for g, w in zip(got, want, strict=True):
+                    assert g.dtype == w.dtype and g.shape == w.shape, seed
+                    assert g.tobytes() == w.tobytes(), seed
+    assert checked >= 100
 
 
 def test_psd_probe_keeps_t_at_one():
