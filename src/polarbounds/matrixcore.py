@@ -227,13 +227,15 @@ class SvdFactors:
     rank: int
 
 
-def svd(M) -> SvdFactors:
+def svd(M, name: str = "matrix") -> SvdFactors:
     """Full SVD with an explicit rank decision.
 
     Parameters
     ----------
     M : (m, n) array_like
         Matrix to factor.
+    name : str
+        What the error messages call `M`.
 
     Returns
     -------
@@ -247,13 +249,17 @@ def svd(M) -> SvdFactors:
     DomainError
         If `M` is not a nonempty finite 2-D array.
     NumericalError
-        If the underlying SVD iteration fails to converge.
+        If the underlying SVD iteration fails to converge, or a singular
+        value overflows the largest double, which LAPACK returns as inf or
+        NaN although every entry is finite.
     """
-    M = as_matrix(M)
+    M = as_matrix(M, name)
     try:
         P, sigma, Qh = np.linalg.svd(M, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("SVD failed to converge") from exc
+    if not np.isfinite(sigma).all():
+        raise NumericalError(f"a singular value of {name} overflows the largest double")
     cutoff = rank_cutoff(M.shape, float(sigma[0]))
     rank = int(np.count_nonzero(sigma > cutoff))
     return SvdFactors(P=P, sigma=sigma, Q=Qh.conj().T, rank=rank)

@@ -145,7 +145,11 @@ class PolarPerturbReport:
 
 
 def _checked_inverse(D: np.ndarray, name: str) -> np.ndarray:
-    s = np.linalg.svd(D, compute_uv=False)
+    """``inv(D)``, from `D` scaled by :func:`matrixcore._pow2_scaled`, so
+    that neither its singular values nor its inverse under- or overflow on
+    the way when `D` lies near the largest double."""
+    S, e = matrixcore._pow2_scaled(D)
+    s = np.linalg.svd(S, compute_uv=False)
     if float(s[-1]) <= matrixcore.rank_cutoff(D.shape, float(s[0])):
         raise DomainError(f"{name} is singular within working precision")
     cond = float(s[0]) / float(s[-1])
@@ -157,9 +161,10 @@ def _checked_inverse(D: np.ndarray, name: str) -> np.ndarray:
             stacklevel=3,
         )
     try:
-        return np.linalg.inv(D)
+        inverse = np.linalg.inv(S)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"inversion of {name} failed") from exc
+    return np.ldexp(inverse.view(np.float64), -e).view(inverse.dtype)
 
 
 def make_scenario(A, D1, D2) -> PerturbationScenario:
@@ -177,11 +182,12 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
     Raises
     ------
     DomainError
-        On shape mismatch or if either perturber is singular within
-        working precision.  A condition number above 1e12 only warns.
+        On shape mismatch, if either perturber is singular within working
+        precision, or if an entry of ``B = D1* A D2`` overflows.  A
+        condition number above 1e12 only warns.
     NumericalError
-        If a singular value of `A` or `B` overflows the largest double, so
-        that LAPACK returns it as inf or NaN.
+        If a singular value of `A` or `B` overflows the largest double (see
+        :func:`matrixcore.svd`).
     """
     A = matrixcore.as_matrix(A, "A")
     D1 = matrixcore.require_square(D1, "D1")
@@ -195,10 +201,7 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
     d1_inv = _checked_inverse(D1, "D1")
     d2_inv = _checked_inverse(D2, "D2")
     B = (D1.conj().T @ A) @ D2
-    svd_a, svd_b = matrixcore.svd(A), matrixcore.svd(B)
-    for name, f in (("A", svd_a), ("B = D1* A D2", svd_b)):
-        if not np.isfinite(f.sigma).all():
-            raise NumericalError(f"a singular value of {name} overflows the largest double")
+    svd_a, svd_b = matrixcore.svd(A, "A"), matrixcore.svd(B, "B = D1* A D2")
     polar_a, polar_b = _polar_from_svd(svd_a), _polar_from_svd(svd_b)
     norm_a, norm_b = float(svd_a.sigma[0]), float(svd_b.sigma[0])
     # The smallest kept singular value; inf at rank 0 gives a ratio of 0.

@@ -78,6 +78,14 @@ def generalized_polar(A) -> PolarFactors:
         ``max(m, n) * eps * sigma_max`` are zeroed so `U` and `H` agree on
         rank.
 
+    Raises
+    ------
+    DomainError
+        If `A` is not a nonempty finite 2-D array.
+    NumericalError
+        If the SVD fails to converge, or a singular value of `A` overflows
+        the largest double.
+
     Notes
     -----
     For square nonsingular `A` this is the ordinary polar decomposition
@@ -86,7 +94,7 @@ def generalized_polar(A) -> PolarFactors:
     `A` and corange equal to the range of ``A*``.
     """
     M = matrixcore.as_matrix(A)
-    f = matrixcore.svd(M)
+    f = matrixcore.svd(M, "A")
     return _polar_from_svd(f, _svd=f, _digest=_digest(M))
 
 

@@ -201,6 +201,21 @@ class TestSvd:
         f = matrixcore.svd(complex_gaussian(rng, (5, 4)))
         assert np.all(np.diff(f.sigma) <= 0)
 
+    @pytest.mark.parametrize(
+        "M", [1.5e308 * np.array([[1.0, 1.0]]), 1.3e308 * np.array([[1.0, 1j], [1j, 1.0]])]
+    )
+    def test_singular_value_beyond_the_largest_double_raises(self, M):
+        # Every entry is finite and sigma_max is not; LAPACK returns it as
+        # inf or NaN, which zeroed the polar factors and the rank.
+        with pytest.raises(NumericalError, match="singular value of matrix overflows"):
+            matrixcore.svd(M)
+        with pytest.raises(NumericalError, match="singular value of M0 overflows"):
+            matrixcore.svd(M, "M0")
+
+    def test_name_is_passed_to_the_validation(self):
+        with pytest.raises(DomainError, match="M0 contains non-finite entries"):
+            matrixcore.svd(np.array([[np.inf]]), "M0")
+
 
 class TestPinv:
     @staticmethod

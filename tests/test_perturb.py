@@ -371,6 +371,28 @@ class TestExtremeScales:
         with pytest.raises(NumericalError, match=f"singular value of {name}"):
             make_scenario(A, D1, np.eye(A.shape[1]))
 
+    def test_overflowing_product_is_named(self):
+        # D1* A D2 overflows entrywise, so B is rejected before its SVD.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DomainError, match=r"B = D1\* A D2 contains non-finite entries"
+        ):
+            make_scenario(1e308 * np.eye(2), 4.0 * np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "D",
+        [1e308 * np.array([[1.0, 1.0], [1.0, -1.0]]), 1.7e308 * np.array([[1.0, 0.5], [0.5, -1.0]])],
+        ids=["cond-1", "sigma-overflows"],
+    )
+    def test_perturber_near_the_largest_double_is_inverted(self, D):
+        # Both are well conditioned.  Inverted unscaled, the first lost its
+        # second column, and the second raised as singular, because its
+        # singular values overflow.
+        inverse = perturb_mod._checked_inverse(D, "D1")
+        npt.assert_allclose(D @ inverse, np.eye(2), rtol=0.0, atol=1e-15)
+        for D1, D2 in ((D, np.eye(2)), (np.eye(2), D)):
+            sc = make_scenario(1e-10 * np.eye(2), D1, D2)
+            npt.assert_array_equal(sc.d1_inv if D1 is D else sc.d2_inv, inverse)
+
 
 def test_bounds_dominate_the_exact_factor_changes_next_to_the_rank_cutoff():
     """With ``sigma_r`` at 2 times the rank cutoff the double SVDs err by

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polarbounds import matrixcore, sylvester
-from polarbounds.exceptions import DomainError
+from polarbounds.exceptions import DomainError, NumericalError
 from polarbounds.polar import PolarFactors, generalized_polar, verify_polar
 from conftest import (
     INTEGER_DTYPES,
@@ -123,6 +123,16 @@ class TestFactorProperties:
         assert f.rank == 1
         npt.assert_allclose(f.U, np.diag([1.0, 0.0]), atol=1e-15)
         npt.assert_allclose(f.H, np.diag([1.0, 0.0]), atol=1e-15)
+
+
+def test_overflowing_singular_value_raises():
+    # The entries are finite, sigma_max = 1.5e308 sqrt(2) is not; the
+    # factors came back as U = 0, H = 0 and rank 0, with a NaN residual.
+    A = 1.5e308 * np.array([[1.0, 1.0]])
+    with pytest.raises(NumericalError, match="singular value of A overflows"):
+        generalized_polar(A)
+    with pytest.raises(NumericalError, match="singular value of matrix overflows"):
+        verify_polar(A, PolarFactors(np.zeros((1, 2)), np.zeros((2, 2)), 0))
 
 
 class TestVerifyPolar:
