@@ -15,7 +15,8 @@ running this on the tree before and after it.  The areas:
 - ``sweep``: the 12 rows of ``run_perturb_sweep`` at sizes 2 and 3, the
   three default epsilons, 2 trials and the default seed;
 - ``perturb``: the reports and the classical bounds of 3000 seeded
-  scenarios, with `A` scaled from 1e-300 up to the edge of overflow;
+  scenarios, with `A` scaled from 1e-300 up to the edge of overflow, and
+  in every seventh scenario `D1` or `D2` scaled alike;
 - ``enclosures``: the midpoint, weighted and symmetric enclosures and
   ``matrixcore.require_hermitian`` at extreme scales, including data whose
   norms overflow;
@@ -79,29 +80,37 @@ def _sweep():
 
 
 def _perturb():
+    return (item for i in range(3000) for item in _perturb_scenario(i))
+
+
+def _perturb_scenario(i):
+    """The outcomes of the `perturb` area's scenario `i`."""
     from polarbounds import perturb as p
 
-    for i in range(3000):
-        rng = np.random.default_rng((2718, i))
-        m, n = (int(k) for k in rng.integers(1, 5, size=2))
-        rank = int(rng.integers(0, min(m, n) + 1))
-        complex_entries = bool(i % 2)
-        A = _gaussian(rng, (m, rank), complex_entries) @ _gaussian(rng, (rank, n), complex_entries)
-        if A.any():
-            A *= _SCALES[i % len(_SCALES)] / np.abs(A).max()
-        epsilon = (0.001, 0.01, 0.1, 0.5)[i // len(_SCALES) % 4]
-        D1 = np.eye(m) + epsilon * _gaussian(rng, (m, m), True)
-        D2 = np.eye(n) + epsilon * _gaussian(rng, (n, n), True)
-        scenario = _outcome(p.make_scenario, A, D1, D2)
-        if isinstance(scenario, tuple):
-            yield scenario
-            continue
-        for strategy in (p.SearchStrategy.AT_ONE_ONE, p.SearchStrategy.OPTIMAL):
-            for bound in (p.subunitary_bound, p.psd_factor_bound):
-                report = _outcome(bound, scenario, strategy)
-                yield report if isinstance(report, tuple) else astuple(report)
-        yield _outcome(p.chen_li_sun_bound, D1, D2)
-        yield _outcome(p.hong_meng_zheng_bound, scenario)
+    rng = np.random.default_rng((2718, i))
+    m, n = (int(k) for k in rng.integers(1, 5, size=2))
+    rank = int(rng.integers(0, min(m, n) + 1))
+    complex_entries = bool(i % 2)
+    A = _gaussian(rng, (m, rank), complex_entries) @ _gaussian(rng, (rank, n), complex_entries)
+    if A.any():
+        A *= _SCALES[i % len(_SCALES)] / np.abs(A).max()
+    epsilon = (0.001, 0.01, 0.1, 0.5)[i // len(_SCALES) % 4]
+    D1 = np.eye(m) + epsilon * _gaussian(rng, (m, m), True)
+    D2 = np.eye(n) + epsilon * _gaussian(rng, (n, n), True)
+    if i % 7 == 3:
+        scale = _SCALES[i // 7 % len(_SCALES)]
+        D1, D2 = (D1 * scale, D2) if i // 7 % 2 else (D1, D2 * scale)
+    scenario = _outcome(p.make_scenario, A, D1, D2)
+    if isinstance(scenario, tuple):
+        return [scenario]
+    items = []
+    for strategy in (p.SearchStrategy.AT_ONE_ONE, p.SearchStrategy.OPTIMAL):
+        for bound in (p.subunitary_bound, p.psd_factor_bound):
+            report = _outcome(bound, scenario, strategy)
+            items.append(report if isinstance(report, tuple) else astuple(report))
+    items.append(_outcome(p.chen_li_sun_bound, D1, D2))
+    items.append(_outcome(p.hong_meng_zheng_bound, scenario))
+    return items
 
 
 def _enclosures():
