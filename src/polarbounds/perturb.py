@@ -324,11 +324,11 @@ def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
     Here ``x = (Re s - 1, Im s, Re t - 1, Im t)`` is the step from the probe
     (1, 1), and the terms are those of `family`, `t3` scaled by
     ``1 / sqrt(lam + 1)``.  Each term is ``G[0] + x @ G[1:]`` (see
-    :attr:`PerturbationScenario._forms`), so its squared norm is exactly the quadratic
-    form of ``Re(conj(G) G^T)``.  The three `G`, which have the same shape,
-    are stacked and scaled together by :func:`matrixcore._pow2_scaled`;
-    ``4^e`` does not move the minimizer of `Q`.  `Q` is symmetric up to
-    round-off.
+    :attr:`PerturbationScenario._forms`), so its squared norm is exactly the
+    quadratic form of ``Re(conj(G) G^T)``.  The three `G`, which have the
+    same shape, are stacked and scaled together by
+    :func:`matrixcore._pow2_scaled`; ``4^e`` does not move the minimizer of
+    `Q`.  `Q` is symmetric up to round-off.
     """
     rows = matrixcore._pow2_scaled(np.concatenate(sc._forms[family]))[0].reshape(3, 5, -1)
     weights = (1.0, 1.0, -1.0 / (sc.lam + 1.0))

@@ -380,7 +380,10 @@ class TestExtremeScales:
 
     @pytest.mark.parametrize(
         "D",
-        [1e308 * np.array([[1.0, 1.0], [1.0, -1.0]]), 1.7e308 * np.array([[1.0, 0.5], [0.5, -1.0]])],
+        [
+            1e308 * np.array([[1.0, 1.0], [1.0, -1.0]]),
+            1.7e308 * np.array([[1.0, 0.5], [0.5, -1.0]]),
+        ],
         ids=["cond-1", "sigma-overflows"],
     )
     def test_perturber_near_the_largest_double_is_inverted(self, D):
@@ -603,7 +606,7 @@ def test_shared_build_is_byte_equal_to_the_two_family_builds():
             checked += 1
             for s, t in probes:
                 got = perturb_mod._term_matrices(sc, s, t)
-                want = (*reference_subunitary_matrices(sc, s, t), *reference_psd_matrices(sc, s, t))
+                want = reference_subunitary_matrices(sc, s, t) + reference_psd_matrices(sc, s, t)
                 for g, w in zip(got, want, strict=True):
                     assert g.dtype == w.dtype and g.shape == w.shape, seed
                     assert g.tobytes() == w.tobytes(), seed
