@@ -25,8 +25,11 @@ running this on the tree before and after it.  The areas:
   beyond the largest double, signed zeros, NaN and inf.
 
 Each digest hashes the ``repr`` of every value, so floats count to the
-last bit; an exception counts by its type and message.  The script takes
-about 30 s on a 2-CPU x86-64 machine and writes no file.
+last bit; an exception counts by its type and message.
+``_perturb_scenario(i)`` returns the outcomes of perturbation scenario `i`
+alone, so two trees whose ``perturb`` digests differ can be compared
+scenario by scenario.  The script takes about 30 s on a 2-CPU x86-64
+machine and writes no file.
 """
 
 import argparse
