@@ -387,9 +387,9 @@ class TestExtremeScales:
         ids=["cond-1", "sigma-overflows"],
     )
     def test_perturber_near_the_largest_double_is_inverted(self, D):
-        # Both are well conditioned.  Inverted unscaled, the first lost its
-        # second column, and the second raised as singular, because its
-        # singular values overflow.
+        # Both are well conditioned.  Inverted unscaled, the first got
+        # [[1e-308, 0], [0, -0]], so D @ inv(D) lost its second column, and
+        # the second raised as singular, because its singular values overflow.
         inverse = perturb_mod._checked_inverse(D, "D1")
         npt.assert_allclose(D @ inverse, np.eye(2), rtol=0.0, atol=1e-15)
         for D1, D2 in ((D, np.eye(2)), (np.eye(2), D)):
