@@ -7,14 +7,19 @@ eigenvalue counts as zero at or below ``max(m, n) * eps * sigma_max``.
 Frobenius norms follow the rounding of the ``nrm2`` kernel of the OpenBLAS
 in scipy's x86-64 wheels.  A single norm is one call of that kernel; a
 stack of small matrices evaluates the kernel's x87 rule in long double
-(:func:`_frobenius_norms`).  ``scipy.linalg`` is imported on the first call
-that needs BLAS, so a process that only runs the Monte Carlo comparison
-never imports it.
+(:func:`_frobenius_norms`).  The first call that needs BLAS loads scipy's
+compiled BLAS extension, ``scipy.linalg._fblas``, on its own (:func:`_blas`):
+about 15 ms and 4 MB, where importing the ``scipy.linalg`` package took
+about 0.24 s and 29 MB.  No path of the library imports ``scipy.linalg``,
+and a process that only runs the Monte Carlo comparison loads no BLAS
+extension at all.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
 
@@ -39,7 +44,7 @@ _EPS = float(np.finfo(np.float64).eps)
 # BENCH_22.json): 0.09 us against 0.17 us at 9 doubles, 0.17 us against
 # 0.17 us at 18, the crossover, and 0.19 us against 0.17 us at 20.  A stack
 # of one matrix costs about 8 us against 1.0 us; the single-pair bounds pay
-# that, so that no stack of small matrices imports scipy.linalg.
+# that, so that no stack of small matrices loads the BLAS extension.
 _MODEL_MAX_PARTS = 18
 # Long double is the x87 80-bit format, whose 64-bit significand the model
 # needs; elsewhere every stack calls BLAS.
@@ -146,8 +151,27 @@ def frobenius_norm(M) -> float:
 
 @functools.cache
 def _blas():
-    """scipy's BLAS wrappers, imported on first use: importing ``scipy.linalg``
-    takes about 0.3 s and 21 MB, which the Monte Carlo path does not need."""
+    """scipy's compiled BLAS wrappers, the extension ``scipy.linalg._fblas``,
+    loaded on first use straight from the ``scipy.linalg`` directory.
+
+    Finding that directory imports only the top-level ``scipy``; the package
+    ``scipy.linalg`` itself is never imported.  Its ``blas`` module re-exports
+    these same functions, so every norm is the same call.  Loading the
+    extension takes about 15 ms and 4 MB, against about 0.24 s and 29 MB for
+    ``from scipy.linalg import blas`` (2-CPU x86-64 Xeon, scipy 1.17.1).  The
+    extension registers itself in ``sys.modules`` under its full name, where a
+    later import of ``scipy.linalg`` finds it.  Where no such extension is
+    found, this imports ``scipy.linalg.blas``.
+    """
+    package = importlib.util.find_spec("scipy.linalg")
+    if package is not None and package.submodule_search_locations is not None:
+        spec = importlib.machinery.PathFinder.find_spec(
+            "scipy.linalg._fblas", package.submodule_search_locations
+        )
+        if spec is not None:
+            fblas = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(fblas)
+            return fblas
     from scipy.linalg import blas
 
     return blas

@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import math
 import os
 import pathlib
@@ -16,8 +18,10 @@ from conftest import PROPERTY, complex_gaussian, rank_r_matrix, random_psd
 
 
 def _blas_norms(rows):
-    """One BLAS ``nrm2`` call per row of a 2-D float64 or complex128 array."""
-    blas = matrixcore._blas()
+    """One call of scipy's public BLAS ``nrm2`` per row of a 2-D float64 or
+    complex128 array."""
+    from scipy.linalg import blas
+
     nrm2 = blas.dznrm2 if np.iscomplexobj(rows) else blas.dnrm2
     return np.array([nrm2(row) for row in rows])
 
@@ -151,25 +155,85 @@ class TestFrobeniusNorms:
 
 
 class TestLazyBlas:
-    def test_monte_carlo_never_imports_scipy_linalg(self):
-        # A fresh interpreter: this one imported scipy.linalg long ago.
+    def test_no_path_imports_scipy_linalg(self):
+        # A fresh interpreter: this one imported scipy.linalg long ago.  The
+        # Monte Carlo path loads no BLAS; every other path loads the BLAS
+        # extension alone, never the scipy.linalg package.
         root = str(pathlib.Path(matrixcore.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
         script = (
-            "import sys\n"
+            "import contextlib, io, sys\n"
+            "import numpy as np\n"
             "import polarbounds as pb\n"
+            "from polarbounds import cli\n"
+            "def check():\n"
+            "    print('scipy.linalg' in sys.modules, 'scipy.linalg._fblas' in sys.modules)\n"
             "for dist in pb.SampleDistribution:\n"
             "    pb.run_montecarlo(pb.ExperimentConfig(trials=64, size=3, dist=dist))\n"
-            "print('scipy.linalg' in sys.modules)\n"
+            "check()\n"
             "pb.frobenius_norm([[3.0, 4.0]])\n"
-            "print('scipy.linalg' in sys.modules)\n"
+            "check()\n"
+            "rng = np.random.default_rng(7)\n"
+            "D1, D2 = (np.eye(k) + 0.1 * rng.standard_normal((k, k)) for k in (4, 3))\n"
+            "sc = pb.make_scenario(rng.standard_normal((4, 3)), D1, D2)\n"
+            "for strategy in (pb.SearchStrategy.OPTIMAL, pb.SearchStrategy.GRID_THEN_LOCAL_SEARCH):\n"
+            "    pb.subunitary_bound(sc, strategy), pb.psd_factor_bound(sc, strategy)\n"
+            "pb.chen_li_sun_bound(D1, D2), pb.hong_meng_zheng_bound(sc)\n"
+            "M = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))\n"
+            "pb.verify_polar(M, pb.generalized_polar(M))\n"
+            "check()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['example']) == 0\n"
+            "check()\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
+        assert proc.stdout.split() == ["False", "False"] + ["False", "True"] * 3
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_extension_is_the_public_blas_bitwise(self, complex_entries):
+        from scipy.linalg import blas
+
+        rng = np.random.default_rng(127)
+        loaded = matrixcore._blas()
+        for parts in range(1, 201):
+            rows = _extreme_parts(rng, 14, 2 * parts if complex_entries else parts)
+            if complex_entries:
+                rows = rows.view(np.complex128)
+                got = [loaded.dznrm2(row) for row in rows]
+                want = [blas.dznrm2(row) for row in rows]
+            else:
+                got = [loaded.dnrm2(row) for row in rows]
+                want = [blas.dnrm2(row) for row in rows]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("missing", ["package", "extension"])
+    def test_falls_back_to_the_public_module(self, missing, monkeypatch):
+        from scipy.linalg import blas
+
+        if missing == "package":
+            find_spec = importlib.util.find_spec
+            monkeypatch.setattr(
+                importlib.util,
+                "find_spec",
+                lambda name, *args: None if name == "scipy.linalg" else find_spec(name, *args),
+            )
+        else:
+            find_spec = importlib.machinery.PathFinder.find_spec
+            monkeypatch.setattr(
+                importlib.machinery.PathFinder,
+                "find_spec",
+                lambda name, *args: None if name.endswith("._fblas") else find_spec(name, *args),
+            )
+        matrixcore._blas.cache_clear()
+        try:
+            assert matrixcore._blas() is blas
+            assert matrixcore.frobenius_norm([[3.0, 4.0]]) == 5.0
+        finally:
+            matrixcore._blas.cache_clear()
 
 
 class TestSvd:
