@@ -427,12 +427,17 @@ def hong_meng_zheng_bound(scenario: PerturbationScenario) -> float:
     """Classical PSD-factor bound; the bound at probe (1, 1) never exceeds it.
 
     With ``rho = ||B||_2 ||I - inv(D2)||_F + ||D1* - inv(D1)||_F ||A||_2``
-    the bound is ``sqrt(rho^2 + ||A||_2^2 ||I - D2||_F^2)``.
+    the bound is ``sqrt(rho^2 + ||A||_2^2 ||I - D2||_F^2)``.  A Frobenius
+    norm here is inf only where the norm of finite entries overflows, so a
+    product with a spectral norm of 0 is 0, never ``0 * inf = NaN``.
     """
     sc = scenario
     In = np.eye(sc.A.shape[1], dtype=np.complex128)
-    rho = sc.norm_b * matrixcore.frobenius_norm(In - sc.d2_inv) + matrixcore.frobenius_norm(
-        sc.D1.conj().T - sc.d1_inv
-    ) * sc.norm_a
-    direct = sc.norm_a * matrixcore.frobenius_norm(In - sc.D2)
+
+    def times(norm2: float, M: np.ndarray) -> float:
+        fro = matrixcore.frobenius_norm(M)
+        return norm2 * fro if norm2 else 0.0
+
+    rho = times(sc.norm_b, In - sc.d2_inv) + times(sc.norm_a, sc.D1.conj().T - sc.d1_inv)
+    direct = times(sc.norm_a, In - sc.D2)
     return _combine((rho, direct, 0.0))[0]

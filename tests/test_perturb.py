@@ -357,6 +357,14 @@ class TestExtremeScales:
         assert hong_meng_zheng_bound(sc) == math.inf
         assert perturb_mod._combine((1.5e308, 1.5e308, 1.0)) == (math.inf, False)
 
+    def test_zero_a_gives_zero_classical_psd_bound_where_a_norm_overflows(self):
+        # ||D1* - inv(D1)||_F is about 2.8e308, but ||A||_2 = 0 multiplies
+        # it; the product was 0 * inf = NaN.
+        D1 = 8e307 * (np.eye(4) + 0.5 * np.ones((4, 4)))
+        sc = make_scenario(np.zeros((4, 3)), D1, np.eye(3))
+        assert matrixcore.frobenius_norm(D1.conj().T - sc.d1_inv) == math.inf
+        assert repr(hong_meng_zheng_bound(sc)) == "0.0"
+
     @pytest.mark.parametrize(
         "A, D1, name",
         [
