@@ -96,7 +96,9 @@ def _perturb_scenario(i):
     complex_entries = bool(i % 2)
     A = _gaussian(rng, (m, rank), complex_entries) @ _gaussian(rng, (rank, n), complex_entries)
     if A.any():
-        A *= _SCALES[i % len(_SCALES)] / np.abs(A).max()
+        # Normalized first: the quotient scale / max overflows when max is
+        # below scale / DBL_MAX.
+        A = A / np.abs(A).max() * _SCALES[i % len(_SCALES)]
     epsilon = (0.001, 0.01, 0.1, 0.5)[i // len(_SCALES) % 4]
     D1 = np.eye(m) + epsilon * _gaussian(rng, (m, m), True)
     D2 = np.eye(n) + epsilon * _gaussian(rng, (n, n), True)
