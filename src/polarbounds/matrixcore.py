@@ -155,13 +155,13 @@ def _blas():
     loaded on first use straight from the ``scipy.linalg`` directory.
 
     Finding that directory imports only the top-level ``scipy``; the package
-    ``scipy.linalg`` itself is never imported.  Its ``blas`` module re-exports
-    these same functions, so every norm is the same call.  Loading the
-    extension takes about 15 ms and 4 MB, against about 0.24 s and 29 MB for
-    ``from scipy.linalg import blas`` (2-CPU x86-64 Xeon, scipy 1.17.1).  The
-    extension registers itself in ``sys.modules`` under its full name, where a
-    later import of ``scipy.linalg`` finds it.  Where no such extension is
-    found, this imports ``scipy.linalg.blas``.
+    ``scipy.linalg`` itself is never imported.  ``scipy.linalg.blas``
+    re-exports these same functions, so every norm is the same call.  Loading
+    the extension takes about 15 ms and 4 MB, against about 0.24 s and 29 MB
+    for ``from scipy.linalg import blas`` (2-CPU x86-64 Xeon, scipy 1.17.1).
+    The extension registers itself in ``sys.modules`` under its full name,
+    where a later import of ``scipy.linalg`` finds it.  Where no such
+    extension is found, this imports ``scipy.linalg.blas``.
     """
     package = importlib.util.find_spec("scipy.linalg")
     if package is not None and package.submodule_search_locations is not None:
