@@ -160,21 +160,23 @@ def _blas():
     the extension takes about 15 ms and 4 MB, against about 0.24 s and 29 MB
     for ``from scipy.linalg import blas`` (2-CPU x86-64 Xeon, scipy 1.17.1).
     The extension registers itself in ``sys.modules`` under its full name,
-    where a later import of ``scipy.linalg`` finds it.  Where no such
-    extension is found, this imports ``scipy.linalg.blas``.
+    where a later import of ``scipy.linalg.blas`` finds it, so both name the
+    same functions; the attribute ``scipy.linalg._fblas`` of that package is
+    then left unset.  A scipy without the extension raises
+    `ModuleNotFoundError`, as ``scipy.linalg.blas`` needs it too.
     """
     package = importlib.util.find_spec("scipy.linalg")
-    if package is not None and package.submodule_search_locations is not None:
-        spec = importlib.machinery.PathFinder.find_spec(
-            "scipy.linalg._fblas", package.submodule_search_locations
+    spec = package and importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._fblas", package.submodule_search_locations
+    )
+    if spec is None:
+        raise ModuleNotFoundError(
+            "scipy's BLAS extension scipy.linalg._fblas was not found",
+            name="scipy.linalg._fblas",
         )
-        if spec is not None:
-            fblas = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(fblas)
-            return fblas
-    from scipy.linalg import blas
-
-    return blas
+    fblas = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fblas)
+    return fblas
 
 
 def _nrm2(M: np.ndarray) -> float:
