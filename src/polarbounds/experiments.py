@@ -24,20 +24,22 @@ and the weighted blend ``a C + b D``; ``|c|``, ``|d|``, ``|c - d|`` and
 A call of several chunks splits them over ``min(CPUs available, chunks)``
 workers where the platform has ``os.fork`` and ``os.sched_getaffinity``
 (Linux): it forks one child per extra worker, runs the first share itself
-and adds the integer tallies the children send back through pipes.  A
-child sees the caller's module state as it was at the call.  Elsewhere,
-and for a single chunk or CPU, the chunks run one after another in the
-calling thread.  The tallies do not depend on the number of workers.
+and adds the integer tallies the children write into one shared mapping,
+tallying again the share of any child that exited nonzero.  A child sees
+the caller's module state as it was at the call.  Elsewhere, and for a
+single chunk or CPU, the chunks run one after another in the calling
+thread.  The tallies do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import mmap
 import operator
 import os
-import pickle
 import signal
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -373,69 +375,42 @@ def _tally_share(seed: int, share, test, n: int, dist) -> tuple[int, int, int, i
     return tuple(map(sum, zip(*parts)))
 
 
-def _worker(read: int, write: int, seed: int, share, test, n: int, dist):
-    """Body of a forked child: send the tally of `share`, or the exception
-    it raised, pickled through `write`, and end the process.  ``os._exit``
-    runs no ``atexit`` handler and flushes no stdio buffer inherited from
-    the parent."""
-    status = 1
-    try:
-        os.close(read)
-        try:
-            result = _tally_share(seed, share, test, n, dist)
-        except BaseException as exc:  # sent to the parent, which raises it
-            result = exc
-        payload = pickle.dumps(result)
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _tally_shares(seed: int, shares, test, n: int, dist) -> tuple[int, int, int, int]:
     """Sum of :func:`_tally_share` over `shares`: the first in this process,
-    each other in a child forked before it, whose result comes back through
-    a pipe.  Every child is reaped before this returns or raises; one whose
-    result was not read by then is killed first."""
-    children = {}  # pid -> (read end of its pipe, its share)
-    payloads = {}
+    each other in a child forked before it, which writes its tally into its
+    row of a shared anonymous mapping.  Every child is reaped before this
+    returns or raises, and killed first if this process's share raises.  The
+    share of a child that exited nonzero is tallied again here: an error it
+    hit is raised here, and a kill from outside costs a `RuntimeWarning`."""
+    rows = np.frombuffer(mmap.mmap(-1, 32 * len(shares)), np.int64).reshape(-1, 4)
+    children = {}  # pid -> index of its share
     try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
+        for w, share in enumerate(shares[1:], 1):
+            pid = os.fork()
             if pid == 0:
-                _worker(read, write, seed, share, test, n, dist)
-            os.close(write)
-            children[pid] = (read, share)
-        parts = [_tally_share(seed, shares[0], test, n, dist)]
-        for pid, (read, _) in children.items():
-            with open(read, "rb", closefd=False) as pipe:
-                payloads[pid] = pipe.read()
+                # ``os._exit`` runs no ``atexit`` handler and flushes no
+                # stdio buffer inherited from the parent.
+                try:
+                    rows[w] = _tally_share(seed, share, test, n, dist)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children[pid] = w
+        rows[0] = _tally_share(seed, shares[0], test, n, dist)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        for pid, (read, _) in children.items():
-            os.close(read)
-            if pid not in payloads:
-                os.kill(pid, signal.SIGKILL)
-        statuses = {pid: os.waitpid(pid, 0)[1] for pid in children}
-    for pid, (_, share) in children.items():
-        code = os.waitstatus_to_exitcode(statuses[pid])
-        if code != 0 or not payloads[pid]:
-            trials = ", ".join(f"{start}-{stop - 1}" for start, stop in share)
-            raise NumericalError(
-                f"the worker for trials {trials} ended with exit status {code} "
-                "and sent no tally"
-            )
-        result = pickle.loads(payloads[pid])
-        if isinstance(result, BaseException):
-            raise result
-        parts.append(result)
-    return tuple(map(sum, zip(*parts)))
+        statuses = [(w, os.waitpid(pid, 0)[1]) for pid, w in children.items()]
+    for w, status in statuses:
+        if status:
+            rows[w] = _tally_share(seed, shares[w], test, n, dist)
+            trials = ", ".join(f"{start}-{stop - 1}" for start, stop in shares[w])
+            code = os.waitstatus_to_exitcode(status)
+            message = f"the worker for trials {trials} ended with exit status {code}"
+            warnings.warn(f"{message}; they were tallied again", RuntimeWarning, stacklevel=3)
+    return tuple(int(total) for total in rows.sum(axis=0))
 
 
 def run_montecarlo(config: ExperimentConfig) -> TrialTally:

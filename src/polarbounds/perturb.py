@@ -187,7 +187,8 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
         condition number above 1e12 only warns.
     NumericalError
         If a singular value of `A` or `B` overflows the largest double (see
-        :func:`matrixcore.svd`).
+        :func:`matrixcore.svd`), or if `B` and `A` differ in numerical rank,
+        as when ``B`` underflows to 0.
     """
     A = matrixcore.as_matrix(A, "A")
     D1 = matrixcore.require_square(D1, "D1")
@@ -202,6 +203,11 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
     d2_inv = _checked_inverse(D2, "D2")
     B = (D1.conj().T @ A) @ D2
     svd_a, svd_b = matrixcore.svd(A, "A"), matrixcore.svd(B, "B = D1* A D2")
+    if svd_b.rank != svd_a.rank:
+        raise NumericalError(
+            f"B = D1* A D2 has numerical rank {svd_b.rank}, but A has rank "
+            f"{svd_a.rank}; the polar factors are not comparable"
+        )
     polar_a, polar_b = _polar_from_svd(svd_a), _polar_from_svd(svd_b)
     norm_a, norm_b = float(svd_a.sigma[0]), float(svd_b.sigma[0])
     # The smallest kept singular value; inf at rank 0 gives a ratio of 0.

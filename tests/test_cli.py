@@ -1,4 +1,5 @@
 import csv
+import importlib
 import importlib.metadata
 import math
 import os
@@ -390,6 +391,18 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "solution norm" in proc.stdout
+
+    def test_console_script_maps_to_main(self, capsys):
+        # The mapping an install turns into the console script, read from the
+        # project file, so it is checked without an installed distribution.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["polarbounds"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        assert entry is main
+        assert entry(["example"]) == 0
+        assert "solution norm" in capsys.readouterr().out
 
     # The console script comes with an installed distribution; importing
     # the package from a source tree (PYTHONPATH=src) provides none.  An

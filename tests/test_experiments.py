@@ -1,5 +1,7 @@
+import errno
 import math
 import os
+import signal
 import sys
 import time
 from dataclasses import astuple
@@ -359,21 +361,20 @@ class TestForkedWorkers:
         run_montecarlo(ExperimentConfig(trials=experiments._CHUNK + 1))
         assert forks == [1]
 
-    def test_redraw_exhaustion_in_a_worker_reaches_the_caller(self, monkeypatch):
+    def test_redraw_exhaustion_in_a_worker_reaches_the_caller(self, monkeypatch, recwarn):
         self.workers(monkeypatch, 2)
         monkeypatch.setattr(experiments, "_MAX_REDRAWS", 3)
-        caller = os.getpid()
-        orig = bounds_mod._spectral_separations
+        orig = experiments._attempt
 
-        def overlapping_in_workers(omega, gamma, **kwargs):
-            values, overlap = orig(omega, gamma, **kwargs)
-            if os.getpid() != caller:
-                overlap = np.ones_like(overlap)
-            return values, overlap
+        def overlapping_from_the_second_chunk(seed, indices, *args):
+            *data, overlap = orig(seed, indices, *args)
+            return (*data, overlap | (indices >= experiments._CHUNK))
 
-        monkeypatch.setattr(bounds_mod, "_spectral_separations", overlapping_in_workers)
+        monkeypatch.setattr(experiments, "_attempt", overlapping_from_the_second_chunk)
         with pytest.raises(NumericalError, match=f"trial {experiments._CHUNK} could not"):
             run_montecarlo(ExperimentConfig(trials=2 * experiments._CHUNK))
+        # The worker's share is tallied again in the caller, which raises.
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -394,20 +395,48 @@ class TestForkedWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_worker_without_a_result(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "end, status",
+        [(lambda: os._exit(3), 3), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
+    )
+    def test_worker_without_a_result(self, end, status, monkeypatch):
+        chunk = experiments._CHUNK
+        config = ExperimentConfig(trials=2 * chunk + 17)
+        with monkeypatch.context() as serial:
+            self.workers(serial, 1)
+            expected = run_montecarlo(config)
         self.workers(monkeypatch, 2)
         caller = os.getpid()
         orig = experiments._tally_range
 
         def dying_in_workers(*args):
             if os.getpid() != caller:
-                os._exit(3)
+                end()
             return orig(*args)
 
         monkeypatch.setattr(experiments, "_tally_range", dying_in_workers)
-        chunk = experiments._CHUNK
-        with pytest.raises(NumericalError, match=f"trials {chunk}-{2 * chunk - 1} .*status 3"):
-            run_montecarlo(ExperimentConfig(trials=2 * chunk))
+        with pytest.warns(
+            RuntimeWarning, match=f"trials {chunk}-{2 * chunk - 1} .*status {status};"
+        ):
+            assert run_montecarlo(config) == expected
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_fork_kills_the_forked_workers(self, monkeypatch):
+        self.workers(monkeypatch, 3)
+        forks = []
+        fork = os.fork
+
+        def second_fails():
+            forks.append(1)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, "no second worker")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        with pytest.raises(OSError, match="no second worker"):
+            run_montecarlo(ExperimentConfig(trials=3 * experiments._CHUNK))
+        assert forks == [1, 1]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -386,6 +386,12 @@ class TestExtremeScales:
         ):
             make_scenario(1e308 * np.eye(2), 4.0 * np.eye(2), np.eye(2))
 
+    def test_product_that_underflows_to_zero_raises(self):
+        # B = D1* A D2 rounds to 0, so its polar factor would be 0 and the
+        # subunitary change would read sqrt(rank A) under a tiny bound.
+        with pytest.raises(NumericalError, match="rank 0, but A has rank 2"):
+            make_scenario(1e-300 * np.eye(2), 1e-300 * np.eye(2), np.eye(2))
+
     @pytest.mark.parametrize(
         "D",
         [

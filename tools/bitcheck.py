@@ -6,8 +6,8 @@ Usage, from the root of a checkout:
     python3 tools/bitcheck.py --src /path/to/another/checkout/src
 
 Two source trees whose printed numbers agree bit for bit print the same
-five lines, so a refactor that must keep its outputs can be checked by
-running this on the tree before and after it.  The areas:
+five digest lines, so a refactor that must keep its outputs can be checked
+by running this on the tree before and after it.  The areas:
 
 - ``montecarlo``: the tallies of ``run_montecarlo`` for tests i-v, both
   distributions, seeds 0-49 and 8209 trials (two full chunks and a partial
@@ -25,7 +25,10 @@ running this on the tree before and after it.  The areas:
   beyond the largest double, signed zeros, NaN and inf.
 
 Each digest hashes the ``repr`` of every value, so floats count to the
-last bit; an exception counts by its type and message.
+last bit; an exception counts by its type and message.  A sixth line,
+``below``, counts the ``perturb`` outcomes (scenario, family, probe) whose
+finite actual change exceeds their finite bound times ``1 + 1e-9``, that
+is, whose bound fails; bounds valid on every scenario give 0.
 ``_perturb_scenario(i)`` returns the outcomes of perturbation scenario `i`
 alone, so two trees whose ``perturb`` digests differ can be compared
 scenario by scenario.  The script takes about 30 s on a 2-CPU x86-64
@@ -36,7 +39,7 @@ import argparse
 import hashlib
 import sys
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +121,26 @@ def _perturb_scenario(i):
     return items
 
 
+def _bounds_below_actual() -> int:
+    """How many outcomes of the `perturb` area have a finite actual change
+    above their finite bound times ``1 + 1e-9``."""
+    from polarbounds.perturb import PolarPerturbReport
+
+    names = [f.name for f in fields(PolarPerturbReport)]
+    count = 0
+    for i in range(3000):
+        # The first four outcomes are the reports of each family at (1, 1),
+        # then at the optimal probe; an exception is a pair of strings.
+        for k, item in enumerate(_perturb_scenario(i)[:4]):
+            if len(item) == len(names):
+                report = dict(zip(names, item))
+                family = ("subunitary", "psd")[k % 2]
+                bound, actual = report[f"{family}_bound"], report[f"{family}_diff"]
+                finite = np.isfinite([bound, actual]).all()
+                count += bool(finite and actual > bound * (1 + 1e-9))
+    return count
+
+
 def _enclosures():
     from polarbounds import bounds as b, matrixcore
 
@@ -188,6 +211,8 @@ def main(argv=None) -> int:
     for name, area in AREAS.items():
         with np.errstate(all="ignore"):
             print(f"{name:<11} {_digest(area())}", flush=True)
+    with np.errstate(all="ignore"):
+        print(f"{'below':<11} {_bounds_below_actual()}")
     return 0
 
 
