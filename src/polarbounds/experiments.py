@@ -379,11 +379,11 @@ def _tally_shares(seed: int, shares, test, n: int, dist) -> tuple[int, int, int,
     """Sum of :func:`_tally_share` over `shares`: the first in this process,
     each other in a child forked before it, which writes its tally into its
     row of a shared anonymous mapping.  Every child is reaped before this
-    returns or raises, and killed first if this process's share raises.  The
-    share of a child that exited nonzero is tallied again here: an error it
-    hit is raised here, and a kill from outside costs a `RuntimeWarning`."""
+    returns or raises, and killed first if a fork or this process's share
+    raises.  The share of a child that exited nonzero is tallied again here:
+    an error it hit is raised here, and a kill from outside costs a warning."""
     rows = np.frombuffer(mmap.mmap(-1, 32 * len(shares)), np.int64).reshape(-1, 4)
-    children = {}  # pid -> index of its share
+    pids = []
     try:
         for w, share in enumerate(shares[1:], 1):
             pid = os.fork()
@@ -395,15 +395,15 @@ def _tally_shares(seed: int, shares, test, n: int, dist) -> tuple[int, int, int,
                     os._exit(0)
                 finally:
                     os._exit(1)
-            children[pid] = w
+            pids.append(pid)
         rows[0] = _tally_share(seed, shares[0], test, n, dist)
     except BaseException:
-        for pid in children:
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        statuses = [(w, os.waitpid(pid, 0)[1]) for pid, w in children.items()]
-    for w, status in statuses:
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for w, status in enumerate(statuses, 1):
         if status:
             rows[w] = _tally_share(seed, shares[w], test, n, dist)
             trials = ", ".join(f"{start}-{stop - 1}" for start, stop in shares[w])

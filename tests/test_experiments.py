@@ -373,7 +373,8 @@ class TestForkedWorkers:
         monkeypatch.setattr(experiments, "_attempt", overlapping_from_the_second_chunk)
         with pytest.raises(NumericalError, match=f"trial {experiments._CHUNK} could not"):
             run_montecarlo(ExperimentConfig(trials=2 * experiments._CHUNK))
-        # The worker's share is tallied again in the caller, which raises.
+        # The worker's share, tallied again in the caller, raises there; the
+        # recovery warning is only for a share that then tallies.
         assert not [w for w in recwarn if w.category is RuntimeWarning]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -398,6 +399,7 @@ class TestForkedWorkers:
     @pytest.mark.parametrize(
         "end, status",
         [(lambda: os._exit(3), 3), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
+        ids=["exit-3", "sigkill"],
     )
     def test_worker_without_a_result(self, end, status, monkeypatch):
         chunk = experiments._CHUNK
