@@ -4,11 +4,11 @@ A perturbed matrix ``B = D1* A D2`` with nonsingular `D1`, `D2` has the
 same rank as `A`, so both polar factors of `B` are comparable with those
 of `A`.  For any pair of complex probe parameters ``(s, t)`` three
 computable terms bound the subunitary factor change ``||V - U||_F`` and
-three more bound the PSD factor change ``|| |B| - |A| ||_F``, in both
-cases through ``sqrt(term1^2 + term2^2 - term3^2)``.  The probe ``(1, 1)``
-already dominates the classical bounds.  The radicand is a real quadratic
-in the real and imaginary parts of ``s`` and ``t``, so the best probe has a
-closed form, and it can only tighten the result.
+three more, functions of `s` alone, bound the PSD factor change ``|| |B| -
+|A| ||_F``, in both cases through ``sqrt(term1^2 + term2^2 - term3^2)``.
+The probe ``(1, 1)`` already dominates the classical bounds.  The radicand
+is a real quadratic in the real and imaginary parts of the probe, so the
+best probe has a closed form, and it can only tighten the result.
 
 The bound families are indexed 0 (subunitary) and 1 (PSD).  Both come
 from one build of the six term matrices, which forms each product they
@@ -71,9 +71,9 @@ class PerturbationScenario:
     each bound, is ``max(||pinv(A)||_2 ||B||_2, ||A||_2 ||pinv(B)||_2, 1)``
     by the rule of :func:`bounds._lambdas`.  Computed on first use and
     kept: `_forms`, the term matrices of the subunitary and the PSD bound
-    (families 0 and 1) as affine functions of the probe, and
-    `_forms_finite`, whether they are finite; `_report_11`, the report at
-    (1, 1); and `_factor_diffs`, the true factor changes.
+    (families 0 and 1) as affine functions of the probe, the PSD ones of
+    `s` alone, and `_forms_finite`, whether they are finite; `_report_11`,
+    the report at (1, 1); and `_factor_diffs`, the true factor changes.
     """
 
     A: np.ndarray
@@ -94,13 +94,13 @@ class PerturbationScenario:
 
         Each term matrix is affine in `s`, `conj(s)`, `t` and `conj(t)`, hence
         real-affine in ``x = (Re s - 1, Im s, Re t - 1, Im t)``: its value at
-        (1, 1) and its changes along the four unit steps determine it.  Each
-        term is a 5 x N array `G`: ``G[0]`` is the term matrix at (1, 1),
-        flattened, and ``G[1:]`` are the changes, so ``T(x) = G[0] + x @ G[1:]``.
+        (1, 1) and its changes along the unit steps determine it.  Each term is
+        a 5 x N array `G` (3 x N and no `t` steps for the PSD terms): ``T(x) =
+        G[0] + x[:len(G) - 1] @ G[1:]``, ``G[0]`` the term at (1, 1), flattened.
         """
         forms = tuple(
-            np.concatenate((T[:1], T[1:] - T[0])).reshape(5, -1)
-            for T in _term_matrices(self, _PROBE_S, _PROBE_T)
+            np.concatenate((T[:1], T[1:k] - T[0])).reshape(k, -1)
+            for T, k in zip(_term_matrices(self, _PROBE_S, _PROBE_T), (5, 5, 5, 3, 3, 3))
         )
         return forms[:3], forms[3:]
 
@@ -236,37 +236,39 @@ def _term_matrices(sc: PerturbationScenario, s, t) -> tuple[np.ndarray, ...]:
     `s` and `t` are complex scalars, or ``(k, 1, 1)`` arrays for a stack
     of `k` evaluations per term.  Each product that several terms share is
     formed once.
+
+    The PSD terms are built without `t`: the paper's first and third hold
+    ``t (V* D1* A - |B| inv(D2))`` and ``t (V* D1* A - |B| inv(D2) U* U)``,
+    and both vanish, as ``V* D1* A D2 = V* V |B| = |B|`` and ``|B| inv(D2)
+    U* U = V* D1* A U* U = V* D1* U |A| U* U = V* D1* A``.
     """
     U, V, A = sc.polar_a.U, sc.polar_b.U, sc.A
     Us, Vs = U.conj().T, V.conj().T
     corange_a, corange_b, range_b = Us @ U, Vs @ V, V @ Vs
     Im, In = (np.eye(k, dtype=np.complex128) for k in A.shape)
     abs_a, abs_b = sc.polar_a.H, sc.polar_b.H
-    cs = np.conj(s)
-    t_d2_inv = t * sc.d2_inv
-    right_inv = In - t_d2_inv
-    cs_d1_inv = cs * sc.d1_inv
-    t_d1a, cs_d2a, s_d2 = t * sc.D1.conj().T, cs * sc.D2.conj().T, s * sc.D2
-    left_mix = Vs @ (t_d1a - cs_d1_inv) @ A
-    abs_b_right = abs_b @ right_inv
+    cs_d1_inv, cs_d2a = (np.conj(s) * M for M in (sc.d1_inv, sc.D2.conj().T))
+    t_d2_inv, s_d2 = t * sc.d2_inv, s * sc.D2
+    mix = Vs @ cs_d1_inv @ A
     return (
-        V @ right_inv + range_b @ (cs_d1_inv - Im) @ U,
+        V @ (In - t_d2_inv) + range_b @ (cs_d1_inv - Im) @ U,
         Us @ (np.conj(t) * sc.D1 - Im) + corange_a @ (In - s_d2) @ Vs,
-        V @ (cs_d2a - t_d2_inv) @ corange_a + range_b @ (cs_d1_inv - t_d1a) @ U,
-        abs_b_right + left_mix,
+        V @ (cs_d2a - t_d2_inv) @ corange_a + range_b @ (cs_d1_inv - t * sc.D1.conj().T) @ U,
+        abs_b - mix,
         abs_a @ (s_d2 - In),
-        abs_b_right @ corange_a + left_mix - corange_b @ (cs_d2a - In) @ abs_a,
+        abs_b @ corange_a - mix - corange_b @ (cs_d2a - In) @ abs_a,
     )
 
 
 def _terms(sc: PerturbationScenario, family: int, s, t) -> tuple[float, float, float]:
     s, t = complex(s), complex(t)
-    x = np.array([s.real - 1.0, s.imag, t.real - 1.0, t.imag])
+    forms = sc._forms[family]
+    x = np.array([s.real - 1.0, s.imag, t.real - 1.0, t.imag])[: len(forms[0]) - 1]
     # Flattened to one row, each term has the entries of its matrix in the
     # same order, so its norm is the same.  At (1, 1) the term is the built
     # one: the step is skipped, because a step row that overflowed to an
     # infinity would add 0 * inf = NaN.
-    t1, t2, t3 = (G[:1] + x @ G[1:] if x.any() else G[:1] for G in sc._forms[family])
+    t1, t2, t3 = (G[:1] + x @ G[1:] if x.any() else G[:1] for G in forms)
     return (
         matrixcore.frobenius_norm(t1),
         matrixcore.frobenius_norm(t2),
@@ -325,23 +327,20 @@ def _report_at(scenario: PerturbationScenario, s: complex, t: complex) -> PolarP
 
 
 def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
-    """Real 5 x 5 `Q` with ``4^-e (t1^2 + t2^2 - t3^2) = [1; x]^T Q [1; x]``.
+    """Real `Q` with ``4^-e (t1^2 + t2^2 - t3^2) = [1; x]^T Q [1; x]``.
 
-    Here ``x = (Re s - 1, Im s, Re t - 1, Im t)`` is the step from the probe
-    (1, 1), and the terms are those of `family`, `t3` scaled by
-    ``1 / sqrt(lam + 1)``.  Each term is ``G[0] + x @ G[1:]`` (see
-    :attr:`PerturbationScenario._forms`), so its squared norm is exactly the
+    Here `x` is the step from the probe (1, 1), and the terms are those of
+    `family`, `t3` scaled by ``1 / sqrt(lam + 1)``.  Each term is ``G[0] +
+    x @ G[1:]`` (see :attr:`PerturbationScenario._forms`), so `Q` is 5 x 5,
+    or 3 x 3 for the PSD family, and each squared norm is exactly the
     quadratic form of ``Re(conj(G) G^T)``.  The three `G`, which have the
     same shape, are stacked and scaled together by
     :func:`matrixcore._pow2_scaled`; ``4^e`` does not move the minimizer of
     `Q`.  `Q` is symmetric up to round-off.
     """
-    rows = matrixcore._pow2_scaled(np.concatenate(sc._forms[family]))[0].reshape(3, 5, -1)
+    rows = matrixcore._pow2_scaled(np.stack(sc._forms[family]))[0]
     weights = (1.0, 1.0, -1.0 / (sc.lam + 1.0))
-    Q = np.zeros((5, 5))
-    for G, weight in zip(rows, weights):
-        Q += weight * (G.conj() @ G.T).real
-    return Q
+    return sum(weight * (G.conj() @ G.T).real for G, weight in zip(rows, weights))
 
 
 def _optimal_probe(sc: PerturbationScenario, family: int) -> tuple[complex, complex]:
@@ -353,16 +352,16 @@ def _optimal_probe(sc: PerturbationScenario, family: int) -> tuple[complex, comp
     eigenvalues at or below the rank cutoff, round-off negatives included,
     count as zero.  Along flat directions this keeps the probe at (1, 1),
     where the terms are the built matrices themselves, with no round-off
-    from the affine steps; the PSD terms, for one, do not depend on `t` at
-    all in exact arithmetic.  `Q` is scaled by a power of 4, which does not
-    move its minimizer.
+    from the affine steps.  The PSD bound is a function of `s` alone, so
+    no search runs over `t`, and the PSD probe has ``t = 1`` exactly.  `Q`
+    is scaled by a power of 4, which does not move its minimizer.
     """
     Q = _radicand_form(sc, family)
     H, g = Q[1:, 1:], Q[1:, 0]
     w, vecs = np.linalg.eigh(H)
     kept = matrixcore._above_cutoff(w)
     basis = vecs[:, kept]
-    x = -basis @ ((basis.T @ g) / w[kept])
+    x = np.concatenate((-basis @ ((basis.T @ g) / w[kept]), np.zeros(4 - len(g))))
     return 1 + complex(x[0], x[1]), 1 + complex(x[2], x[3])
 
 

@@ -24,6 +24,23 @@ def rank_r_matrix(rng, m, n, r, complex_entries=True):
     return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
 
 
+def exact_factor_changes(A, D1, D2):
+    """``||V - U||_F`` and ``|| |B| - |A| ||_F`` for the exact ``B = D1* A D2``,
+    as mpmath numbers from 50-digit SVDs.  Every singular value is kept, so
+    the first is the change of the generalized polar factor only for `A` of
+    full rank; the PSD factor ``(M* M)^(1/2)`` needs no rank decision."""
+    import mpmath
+
+    def polar(M):
+        P, sigma, Qh = mpmath.svd_c(M)  # M = P diag(sigma) Qh
+        return P * Qh, Qh.H * mpmath.diag(sigma) * Qh
+
+    with mpmath.workdps(50):
+        A_, D1_, D2_ = (mpmath.matrix(np.asarray(M).tolist()) for M in (A, D1, D2))
+        (U, H), (V, G) = polar(A_), polar(D1_.H * A_ * D2_)
+        return mpmath.mnorm(V - U, "f"), mpmath.mnorm(G - H, "f")
+
+
 def random_psd(rng, n, rank):
     """Random n x n Hermitian PSD matrix of the given rank."""
     G = complex_gaussian(rng, (rank, n))

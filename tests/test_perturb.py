@@ -23,6 +23,7 @@ from conftest import (
     INTEGER_DTYPES,
     PROPERTY,
     complex_gaussian,
+    exact_factor_changes,
     integer_matrix,
     rank_r_matrix,
     spectral_norm,
@@ -224,14 +225,14 @@ class TestExtremeScales:
     # The repr of the subunitary and the PSD bound at (1, 1), of both at the
     # optimal probe, and of hong_meng_zheng_bound, for c A.
     GOLDEN = {
-        1e-310: ("0.06253531611464161", "1.080603621717e-311", "0.051606758673567225",
+        1e-310: ("0.06253531611464161", "1.0806036217167e-311", "0.051606758673567225",
                  "1.076426849251e-311", "1.791261651727e-311"),
         1e-170: ("0.06253531611464079", "1.0806036217169622e-171", "0.05160675867352768",
-                 "1.076426849251203e-171", "1.791261651726744e-171"),
-        1e160: ("0.06253531611464078", "1.080603621716962e+159", "0.051606758673527806",
-                "1.0764268492512029e+159", "1.791261651726744e+159"),
-        1e307: ("0.06253531611464079", "1.0806036217169622e+306", "0.05160675867352768",
-                "1.076426849251203e+306", "1.791261651726744e+306"),
+                 "1.0764268492512026e-171", "1.791261651726744e-171"),
+        1e160: ("0.06253531611464078", "1.0806036217169624e+159", "0.051606758673527806",
+                "1.076426849251203e+159", "1.791261651726744e+159"),
+        1e307: ("0.06253531611464079", "1.0806036217169632e+306", "0.05160675867352768",
+                "1.076426849251204e+306", "1.791261651726744e+306"),
     }
 
     def reports(self, c):
@@ -268,30 +269,29 @@ class TestExtremeScales:
         ]
         assert (*got, repr(hong_meng_zheng_bound(sc))) == self.GOLDEN[c]
 
-    @pytest.mark.parametrize(
-        "A, D1, D2, golden",
-        [
-            (1e308 * np.eye(2), np.eye(2), np.eye(2), ("0.0", "0.0")),
-            (8e307 * A, D1, D2, ("0.06253531611464079", "8.644828973735698e+306")),
-        ],
-        ids=["1e308-I", "8e307-A"],
-    )
+    # A, D1, D2 and the repr of the subunitary and the PSD bound, at (1, 1)
+    # and at the optimal probe.
+    OVERFLOWING_STEPS = [
+        (1e308 * np.eye(2), np.eye(2), np.eye(2), ("0.0", "0.0")),
+        (8e307 * A, D1, D2, ("0.06253531611464079", "8.644828973735705e+306")),
+    ]
+    OVERFLOWING_SEARCH = [
+        (8e307 * A, *_perturbers(np.random.default_rng(5), 0.01, 2, 2),
+         ("0.025215391246025683", "3.976245731748357e+306")),
+        (*_near_overflow_case(72), ("0.0037268025654362495", "8.707094175757564e+304")),
+    ]
+
+    @pytest.mark.parametrize("A, D1, D2, golden", OVERFLOWING_STEPS, ids=["1e308-I", "8e307-A"])
     def test_overflowing_steps_leave_the_bounds_at_one_one(self, A, D1, D2, golden):
-        # 2 sigma_max(A) overflows, so the PSD term steps hold infinities;
-        # at (1, 1) the terms are the built matrices, which are finite.
+        # 2 sigma_max(A) overflows, so the PSD term steps hold infinities and
+        # NaN; at (1, 1) the terms are the built matrices, which are finite.
         sc = make_scenario(A, D1, D2)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             got = (subunitary_bound(sc).subunitary_bound, psd_factor_bound(sc).psd_bound)
         assert tuple(map(repr, got)) == golden
 
     @pytest.mark.parametrize(
-        "A, D1, D2, golden",
-        [
-            (8e307 * A, *_perturbers(np.random.default_rng(5), 0.01, 2, 2),
-             ("0.025215391246025683", "3.976245731748355e+306")),
-            (*_near_overflow_case(72), ("0.0037268025654362495", "8.707094175757378e+304")),
-        ],
-        ids=["8e307-A", "near-overflow-seed-72"],
+        "A, D1, D2, golden", OVERFLOWING_SEARCH, ids=["8e307-A", "near-overflow-seed-72"]
     )
     def test_optimal_search_that_overflows_keeps_one_one(self, A, D1, D2, golden):
         # In the first case the PSD term steps overflow, and a report at any
@@ -306,6 +306,57 @@ class TestExtremeScales:
             )
         assert tuple(map(repr, got)) == golden
         assert got[0] <= at11[0] and got[1] <= at11[1]
+
+    def test_psd_goldens_dominate_the_exact_change(self):
+        # Each pinned PSD bound lies at or above || |B| - |A| ||_F of the
+        # exact B = D1* A D2, from 50-digit SVDs.
+        pytest.importorskip("mpmath")
+        cases = [(c * self.A, self.D1, self.D2, self.GOLDEN[c][1:4:2]) for c in self.GOLDEN]
+        for A, D1, D2, golden in self.OVERFLOWING_STEPS + self.OVERFLOWING_SEARCH:
+            cases.append((A, D1, D2, golden[1:]))
+        for A, D1, D2, goldens in cases:
+            change = exact_factor_changes(A, D1, D2)[1]
+            for golden in goldens:
+                assert change <= float(golden), golden
+
+    def test_searched_psd_bound_that_ties_the_change_dominates_it(self):
+        # The input of perturb scenario 395 of tools/bitcheck.py: rank-1
+        # complex A scaled to 8e307, and D2 to 1e-150.  The search moves s
+        # to about 0, where the PSD bound is || |A| ||_F to the last digit,
+        # and so is the computed change.  The exact change lies below it.
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng((2718, 395))
+
+        def gaussian(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        m, n = (int(k) for k in rng.integers(1, 5, size=2))
+        rank = int(rng.integers(0, min(m, n) + 1))
+        A = gaussian((m, rank)) @ gaussian((rank, n))
+        A = A / np.abs(A).max() * 8e307
+        D1, D2 = np.eye(m) + 0.5 * gaussian((m, m)), 1e-150 * (np.eye(n) + 0.5 * gaussian((n, n)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = psd_factor_bound(make_scenario(A, D1, D2), SearchStrategy.OPTIMAL)
+        assert abs(report.s) < 1e-15 and report.psd_bound == report.psd_diff
+        assert exact_factor_changes(A, D1, D2)[1] <= report.psd_bound
+
+    def test_perturbers_near_overflow_report_both_families(self):
+        # A scaled to 8e307 and perturbers I + 0.5 E.  Built with the t-parts,
+        # the PSD terms at (1, 1) overflowed, and every report raised.
+        A = 4e307 * self.A
+        sc = make_scenario(A, *_perturbers(np.random.default_rng(235), 0.5, 2, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            at11, opt = (
+                (subunitary_bound(sc, strategy), psd_factor_bound(sc, strategy))
+                for strategy in (SearchStrategy.AT_ONE_ONE, SearchStrategy.OPTIMAL)
+            )
+        for sub, psd in (at11, opt):
+            assert math.isfinite(sub.subunitary_bound) and math.isfinite(psd.psd_bound)
+            assert sub.subunitary_diff <= sub.subunitary_bound
+            assert psd.psd_diff <= psd.psd_bound
+        # The term forms are finite, so both searches run and improve.
+        assert opt[0].subunitary_bound < at11[0].subunitary_bound
+        assert opt[1].psd_bound < at11[1].psd_bound
 
     def test_subnormal_a_keeps_lam_finite(self):
         # At c = 1e-310 the smallest singular value is subnormal, and its
@@ -417,12 +468,7 @@ def test_bounds_dominate_the_exact_factor_changes_next_to_the_rank_cutoff():
     factor changes can exceed the bounds.  The bounds at (1, 1) still
     dominate the changes of the polar factors from 50-digit SVDs of `A` and
     of the exact ``B = D1* A D2``."""
-    mpmath = pytest.importorskip("mpmath")
-
-    def exact_polar(M):
-        P, sigma, Qh = mpmath.svd_c(M)  # M = P diag(sigma) Qh, all kept
-        return P * Qh, Qh.H * mpmath.diag(sigma) * Qh
-
+    pytest.importorskip("mpmath")
     cutoff = matrixcore.rank_cutoff((3, 3), 1.0)
     for seed in range(20):
         rng = np.random.default_rng((12345, seed))
@@ -430,10 +476,7 @@ def test_bounds_dominate_the_exact_factor_changes_next_to_the_rank_cutoff():
         A = (P * [1.0, 0.7, 2 * cutoff]) @ Q.conj().T
         D1, D2 = (np.eye(3) + 0.01 * complex_gaussian(rng, (3, 3)) for _ in range(2))
         report = subunitary_bound(make_scenario(A, D1, D2))
-        with mpmath.workdps(50):
-            A_, D1_, D2_ = (mpmath.matrix(M.tolist()) for M in (A, D1, D2))
-            (U, H), (V, G) = exact_polar(A_), exact_polar(D1_.H * A_ * D2_)
-            changes = [float(mpmath.mnorm(M, "f")) for M in (V - U, G - H)]
+        changes = [float(change) for change in exact_factor_changes(A, D1, D2)]
         assert changes[0] <= report.subunitary_bound, seed
         assert changes[1] <= report.psd_bound, seed
 
@@ -476,9 +519,10 @@ class TestOptimalProbe:
             e = math.frexp(max(np.abs(G).max() for G in parts))[1]
             Q = 4.0**e * perturb_mod._radicand_form(sc, family)
             for x in 2.0 * rng.standard_normal((20, 4)):
-                # x is the step from the probe (1, 1).
+                # x is the step from the probe (1, 1); the PSD Q, 3 x 3,
+                # takes its s part alone.
                 t1, t2, t3 = terms(sc, 1 + complex(x[0], x[1]), 1 + complex(x[2], x[3]))
-                v = np.concatenate(([1.0], x))
+                v = np.concatenate(([1.0], x))[: len(Q)]
                 direct = t1 * t1 + t2 * t2 - t3 * t3
                 scale = t1 * t1 + t2 * t2 + t3 * t3
                 assert abs(v @ Q @ v - direct) <= 1e-12 * scale
@@ -579,7 +623,8 @@ def reference_subunitary_matrices(sc, s, t):
 
 
 def reference_psd_matrices(sc, s, t):
-    """The PSD term matrices as built before the shared build."""
+    """The PSD term matrices as built before the shared build, with the
+    `t`-parts that cancel in exact arithmetic."""
     U, V = sc.polar_a.U, sc.polar_b.U
     corange_a, corange_b = U.conj().T @ U, V.conj().T @ V
     In = np.eye(sc.A.shape[1], dtype=np.complex128)
@@ -596,12 +641,35 @@ def reference_psd_matrices(sc, s, t):
     return t1, t2, t3
 
 
-def test_shared_build_is_byte_equal_to_the_two_family_builds():
+def psd_part_scale(sc, s, t):
+    """A bound on the Frobenius norms of the parts of each reference PSD
+    term, `t`-parts included: the sum of the products of their factors'
+    norms.  Rounding moves a term by a few eps of it."""
+    norm = np.linalg.norm
+    abs_a, abs_b = norm(sc.polar_a.H), norm(sc.polar_b.H)
+    return (1.0 + np.abs(s) + np.abs(t)) * (
+        abs_b * (1.0 + norm(sc.d2_inv))
+        + norm(sc.A) * (norm(sc.D1) + norm(sc.d1_inv))
+        + abs_a * (1.0 + norm(sc.D2))
+    )
+
+
+def test_shared_build_matches_the_two_family_builds():
     # Sizes 1-6, real and complex A of every rank, A scaled from 1e-300 to
-    # 8e307, and perturbers I + eps E from eps = 1e-3 to 0.5.
+    # 8e307, and perturbers I + eps E from eps = 1e-3 to 0.5.  The
+    # subunitary terms are byte-equal to their reference.  The PSD terms
+    # leave out the t-parts, which cancel in exact arithmetic, so at any t
+    # they match theirs to a few eps of the norms of the reference's parts,
+    # wherever those are finite.
     scales = (1.0, 1e-300, 1e-150, 1e150, 1e300, 4e307, 8e307)
-    probes = [(perturb_mod._PROBE_S, perturb_mod._PROBE_T), (1.0, 1.0), (0.3 - 2j, 1.5 + 0.25j)]
-    checked = 0
+    probes = [
+        (perturb_mod._PROBE_S, perturb_mod._PROBE_T),
+        (1.0, 1.0),
+        (0.3 - 2j, 1.5 + 0.25j),
+        (0.3 - 2j, -700.0 + 800.0j),
+        (1.0, 1e3),
+    ]
+    checked = psd_checked = 0
     for seed in range(120):
         rng = np.random.default_rng((521, seed))
         m, n = (int(k) for k in rng.integers(1, 7, size=2))
@@ -620,20 +688,37 @@ def test_shared_build_is_byte_equal_to_the_two_family_builds():
             checked += 1
             for s, t in probes:
                 got = perturb_mod._term_matrices(sc, s, t)
-                want = reference_subunitary_matrices(sc, s, t) + reference_psd_matrices(sc, s, t)
-                for g, w in zip(got, want, strict=True):
+                for g, w in zip(got[:3], reference_subunitary_matrices(sc, s, t), strict=True):
                     assert g.dtype == w.dtype and g.shape == w.shape, seed
                     assert g.tobytes() == w.tobytes(), seed
+                scale = psd_part_scale(sc, s, t)
+                want = reference_psd_matrices(sc, s, t)
+                if not (np.isfinite(scale).all() and all(np.isfinite(w).all() for w in want)):
+                    continue
+                psd_checked += 1
+                for g, w in zip(got[3:], want, strict=True):
+                    assert g.dtype == w.dtype and g.shape == w.shape, seed
+                    gap = np.linalg.norm(g - w, axis=(-2, -1)).reshape(np.shape(scale))
+                    assert (gap <= 4 * EPS * scale).all(), seed
     assert checked >= 100
+    assert psd_checked >= 300
 
 
 def test_psd_probe_keeps_t_at_one():
-    # The PSD terms do not depend on t, so the optimal probe leaves t at 1,
-    # where the terms cancel the least in floating point.
+    # The PSD terms are built without t, so their forms and radicand take
+    # the s steps alone, the optimal probe leaves t at exactly 1, and the
+    # terms at any probe ignore t to the last bit.
     rng = np.random.default_rng(517)
     for m, n in [(3, 3), (6, 2), (2, 5)]:
-        report = psd_factor_bound(random_scenario(rng, m, n), SearchStrategy.OPTIMAL)
-        assert abs(report.t - 1) < 1e-12
+        sc = random_scenario(rng, m, n)
+        assert [len(G) for G in sc._forms[1]] == [3, 3, 3]
+        assert perturb_mod._radicand_form(sc, 1).shape == (3, 3)
+        assert perturb_mod._optimal_probe(sc, 1)[1] == 1
+        report = psd_factor_bound(sc, SearchStrategy.OPTIMAL)
+        assert report.t == 1
+        for s in (report.s, 0.4 - 1.5j):
+            terms = [perturb_mod._terms(sc, 1, s, t) for t in (1.0, -30.0 + 7.5j)]
+            assert np.array(terms[0]).tobytes() == np.array(terms[1]).tobytes()
 
 
 def test_grid_search_name_is_optimal_alias():

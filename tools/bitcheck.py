@@ -25,10 +25,11 @@ by running this on the tree before and after it.  The areas:
   beyond the largest double, signed zeros, NaN and inf.
 
 Each digest hashes the ``repr`` of every value, so floats count to the
-last bit; an exception counts by its type and message.  A sixth line,
-``below``, counts the ``perturb`` outcomes (scenario, family, probe) whose
-finite actual change exceeds their finite bound times ``1 + 1e-9``, that
-is, whose bound fails; bounds valid on every scenario give 0.
+last bit; an exception counts by its type and message.  Two more lines
+count ``perturb`` outcomes (scenario, family, probe).  ``below`` counts
+those whose finite actual change exceeds their finite bound times
+``1 + 1e-9``, that is, whose bound fails, in all and per family; bounds
+valid on every scenario give 0.  ``nan`` counts those whose bound is NaN.
 ``_perturb_scenario(i)`` returns the outcomes of perturbation scenario `i`
 alone, so two trees whose ``perturb`` digests differ can be compared
 scenario by scenario.  The script takes about 30 s on a 2-CPU x86-64
@@ -121,13 +122,14 @@ def _perturb_scenario(i):
     return items
 
 
-def _bounds_below_actual() -> int:
-    """How many outcomes of the `perturb` area have a finite actual change
-    above their finite bound times ``1 + 1e-9``."""
+def _failed_bounds() -> tuple[dict[str, int], int]:
+    """Per family, how many outcomes of the `perturb` area have a finite
+    actual change above their finite bound times ``1 + 1e-9``; and how many
+    have a NaN bound."""
     from polarbounds.perturb import PolarPerturbReport
 
     names = [f.name for f in fields(PolarPerturbReport)]
-    count = 0
+    below, nan = {"subunitary": 0, "psd": 0}, 0
     for i in range(3000):
         # The first four outcomes are the reports of each family at (1, 1),
         # then at the optimal probe; an exception is a pair of strings.
@@ -137,8 +139,9 @@ def _bounds_below_actual() -> int:
                 family = ("subunitary", "psd")[k % 2]
                 bound, actual = report[f"{family}_bound"], report[f"{family}_diff"]
                 finite = np.isfinite([bound, actual]).all()
-                count += bool(finite and actual > bound * (1 + 1e-9))
-    return count
+                below[family] += bool(finite and actual > bound * (1 + 1e-9))
+                nan += bool(np.isnan(bound))
+    return below, nan
 
 
 def _enclosures():
@@ -212,7 +215,10 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             print(f"{name:<11} {_digest(area())}", flush=True)
     with np.errstate(all="ignore"):
-        print(f"{'below':<11} {_bounds_below_actual()}")
+        below, nan = _failed_bounds()
+    per_family = ", ".join(f"{family} {count}" for family, count in below.items())
+    print(f"{'below':<11} {sum(below.values())} ({per_family})")
+    print(f"{'nan':<11} {nan}")
     return 0
 
 
