@@ -14,7 +14,11 @@ The bound families are indexed 0 (subunitary) and 1 (PSD).  Both come
 from one build of the six term matrices, which forms each product they
 share once.  A scenario keeps each family's term matrices in affine form
 and its report at (1, 1), so the terms of each (family, probe) pair are
-evaluated once.
+evaluated once.  The work of a scenario runs on stacks, as its matrices
+are small and each numpy or LAPACK call costs microseconds of overhead:
+`A` and `B` share one SVD call and one polar build (one per dtype, when
+`A` is real and `B` complex), and a family's three terms at a probe take
+one evaluation and one pass of BLAS ``nrm2`` over its stacked form.
 """
 
 from __future__ import annotations
@@ -72,8 +76,9 @@ class PerturbationScenario:
     by the rule of :func:`bounds._lambdas`.  Computed on first use and
     kept: `_forms`, the term matrices of the subunitary and the PSD bound
     (families 0 and 1) as affine functions of the probe, the PSD ones of
-    `s` alone, and `_forms_finite`, whether they are finite; `_report_11`,
-    the report at (1, 1); and `_factor_diffs`, the true factor changes.
+    `s` alone, one stack of the three terms per family, and
+    `_forms_finite`, whether they are finite; `_report_11`, the report at
+    (1, 1); and `_factor_diffs`, the true factor changes.
     """
 
     A: np.ndarray
@@ -89,25 +94,33 @@ class PerturbationScenario:
     d2_inv: np.ndarray
 
     @cached_property
-    def _forms(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    def _forms(self) -> tuple[np.ndarray, np.ndarray]:
         """The three terms of each family in affine form, from one batched build.
 
         Each term matrix is affine in `s`, `conj(s)`, `t` and `conj(t)`, hence
         real-affine in ``x = (Re s - 1, Im s, Re t - 1, Im t)``: its value at
-        (1, 1) and its changes along the unit steps determine it.  Each term is
-        a 5 x N array `G` (3 x N and no `t` steps for the PSD terms): ``T(x) =
-        G[0] + x[:len(G) - 1] @ G[1:]``, ``G[0]`` the term at (1, 1), flattened.
+        (1, 1) and its changes along the unit steps determine it.  A family's
+        three terms, flattened in row-major order, have the same number `N`
+        of entries, and its form is one 3 x 5 x N array `G` (3 x 3 x N and no
+        `t` steps for the PSD terms): term `i` is ``G[i, 0] + x[:k - 1] @
+        G[i, 1:]``, `k` = ``G.shape[1]``, ``G[i, 0]`` the term at (1, 1).
+        Steps that overflow are kept as inf or NaN, without a warning;
+        :attr:`_forms_finite` and the norms of :func:`_terms` judge them.
         """
-        forms = tuple(
-            np.concatenate((T[:1], T[1:k] - T[0])).reshape(k, -1)
-            for T, k in zip(_term_matrices(self, _PROBE_S, _PROBE_T), (5, 5, 5, 3, 3, 3))
-        )
-        return forms[:3], forms[3:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            T = _term_matrices(self, _PROBE_S, _PROBE_T)
+            forms = tuple(
+                np.array([M[:k].reshape(k, -1) for M in family])
+                for family, k in ((T[:3], 5), (T[3:], 3))
+            )
+            for G in forms:
+                G[:, 1:] -= G[:, :1]
+        return forms
 
     @cached_property
     def _forms_finite(self) -> bool:
-        """Whether every entry of the six forms is finite: no step overflowed."""
-        return all(np.isfinite(G).all() for forms in self._forms for G in forms)
+        """Whether every entry of both forms is finite: no step overflowed."""
+        return all(np.isfinite(G).all() for G in self._forms)
 
     @cached_property
     def _report_11(self) -> PolarPerturbReport:
@@ -202,16 +215,34 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
     d1_inv = _checked_inverse(D1, "D1")
     d2_inv = _checked_inverse(D2, "D2")
     B = (D1.conj().T @ A) @ D2
-    svd_a, svd_b = matrixcore.svd(A, "A"), matrixcore.svd(B, "B = D1* A D2")
-    if svd_b.rank != svd_a.rank:
+    names = ("A", "B = D1* A D2")
+    if not np.isfinite(B).all():
+        matrixcore.svd(A, names[0])  # an error of A's comes first
+        raise DomainError(f"{names[1]} contains non-finite entries")
+    # One SVD call and one polar build per dtype: A real and B complex go
+    # apart, as promoting A to complex would factor it to other bits.
+    stacks = (
+        [(np.array((A, B)), names)]
+        if A.dtype == B.dtype
+        else [(A[None], names[:1]), (B[None], names[1:])]
+    )
+    svds = [matrixcore._svds(*stack) for stack in stacks]
+    (sigma_a, rank_a), (sigma_b, rank_b) = (
+        pair for P, sigma, Q, ranks in svds for pair in zip(sigma, ranks)
+    )
+    if rank_b != rank_a:
         raise NumericalError(
-            f"B = D1* A D2 has numerical rank {svd_b.rank}, but A has rank "
-            f"{svd_a.rank}; the polar factors are not comparable"
+            f"B = D1* A D2 has numerical rank {rank_b}, but A has rank "
+            f"{rank_a}; the polar factors are not comparable"
         )
-    polar_a, polar_b = _polar_from_svd(svd_a), _polar_from_svd(svd_b)
-    norm_a, norm_b = float(svd_a.sigma[0]), float(svd_b.sigma[0])
+    polar_a, polar_b = (
+        PolarFactors(U=U, H=H, rank=rank_a)
+        for P, sigma, Q, _ in svds
+        for U, H in zip(*_polar_from_svd(P, sigma, Q, rank_a))
+    )
+    norm_a, norm_b = float(sigma_a[0]), float(sigma_b[0])
     # The smallest kept singular value; inf at rank 0 gives a ratio of 0.
-    min_a, min_b = (f.sigma[f.rank - 1] if f.rank else np.inf for f in (svd_a, svd_b))
+    min_a, min_b = (sigma[rank_a - 1] if rank_a else np.inf for sigma in (sigma_a, sigma_b))
     lam = float(bounds._lambdas(min_a, norm_a, min_b, norm_b)[2])
     return PerturbationScenario(
         A=A,
@@ -262,18 +293,19 @@ def _term_matrices(sc: PerturbationScenario, s, t) -> tuple[np.ndarray, ...]:
 
 def _terms(sc: PerturbationScenario, family: int, s, t) -> tuple[float, float, float]:
     s, t = complex(s), complex(t)
-    forms = sc._forms[family]
-    x = np.array([s.real - 1.0, s.imag, t.real - 1.0, t.imag])[: len(forms[0]) - 1]
-    # Flattened to one row, each term has the entries of its matrix in the
-    # same order, so its norm is the same.  At (1, 1) the term is the built
-    # one: the step is skipped, because a step row that overflowed to an
-    # infinity would add 0 * inf = NaN.
-    t1, t2, t3 = (G[:1] + x @ G[1:] if x.any() else G[:1] for G in forms)
-    return (
-        matrixcore.frobenius_norm(t1),
-        matrixcore.frobenius_norm(t2),
-        matrixcore.frobenius_norm(t3) / math.sqrt(sc.lam + 1.0),
-    )
+    G = sc._forms[family]
+    x = np.array([s.real - 1.0, s.imag, t.real - 1.0, t.imag])[: G.shape[1] - 1]
+    # Each row holds the entries of its term matrix in row-major order, so
+    # its norm is the matrix's.  At (1, 1) the terms are the built ones: the
+    # step is skipped, because a step row that overflowed to an infinity
+    # would add 0 * inf = NaN.
+    rows = G[:, 0] + x @ G[:, 1:] if x.any() else G[:, 0]
+    norms = matrixcore._row_norms(rows)
+    for norm, row in zip(norms, rows):
+        if not math.isfinite(norm) and not np.isfinite(row).all():
+            raise DomainError("matrix contains non-finite entries")
+    t1, t2, t3 = norms
+    return t1, t2, t3 / math.sqrt(sc.lam + 1.0)
 
 
 def subunitary_terms(
@@ -333,14 +365,14 @@ def _radicand_form(sc: PerturbationScenario, family: int) -> np.ndarray:
     `family`, `t3` scaled by ``1 / sqrt(lam + 1)``.  Each term is ``G[0] +
     x @ G[1:]`` (see :attr:`PerturbationScenario._forms`), so `Q` is 5 x 5,
     or 3 x 3 for the PSD family, and each squared norm is exactly the
-    quadratic form of ``Re(conj(G) G^T)``.  The three `G`, which have the
-    same shape, are stacked and scaled together by
-    :func:`matrixcore._pow2_scaled`; ``4^e`` does not move the minimizer of
-    `Q`.  `Q` is symmetric up to round-off.
+    quadratic form of ``Re(conj(G) G^T)``, all three from one product on the
+    family's stack, which is scaled as one by :func:`matrixcore._pow2_scaled`;
+    ``4^e`` does not move the minimizer of `Q`.  `Q` is symmetric up to
+    round-off.
     """
-    rows = matrixcore._pow2_scaled(np.stack(sc._forms[family]))[0]
-    weights = (1.0, 1.0, -1.0 / (sc.lam + 1.0))
-    return sum(weight * (G.conj() @ G.T).real for G, weight in zip(rows, weights))
+    G = matrixcore._pow2_scaled(sc._forms[family])[0]
+    weights = np.array([1.0, 1.0, -1.0 / (sc.lam + 1.0)]).reshape(3, 1, 1)
+    return sum(weights * (G.conj() @ G.swapaxes(-1, -2)).real)
 
 
 def _optimal_probe(sc: PerturbationScenario, family: int) -> tuple[complex, complex]:

@@ -95,7 +95,8 @@ def generalized_polar(A) -> PolarFactors:
     """
     M = matrixcore.as_matrix(A)
     f = matrixcore.svd(M, "A")
-    return _polar_from_svd(f, _svd=f, _digest=_digest(M))
+    (U,), (H,) = _polar_from_svd(f.P[None], f.sigma[None], f.Q[None], f.rank)
+    return PolarFactors(U=U, H=H, rank=f.rank, _svd=f, _digest=_digest(M))
 
 
 def _digest(M: np.ndarray) -> bytes:
@@ -109,15 +110,19 @@ def _digest(M: np.ndarray) -> bytes:
     return h.digest()
 
 
-def _polar_from_svd(f: matrixcore.SvdFactors, **private) -> PolarFactors:
-    """Polar factors from a full SVD and its rank decision; `private` sets
-    the fields that only :func:`generalized_polar` fills."""
-    r = f.rank
-    U = f.P[:, :r] @ f.Q[:, :r].conj().T
-    kept = np.zeros(f.Q.shape[0], dtype=np.float64)
-    kept[:r] = f.sigma[:r]
-    H = matrixcore._hermitian_part((f.Q * kept) @ f.Q.conj().T)
-    return PolarFactors(U=U, H=H, rank=r, **private)
+def _polar_from_svd(
+    P: np.ndarray, sigma: np.ndarray, Q: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks of `U` and `H` of the matrices whose full SVDs are stacked
+    in `P`, `sigma` and `Q`, as :func:`matrixcore._svds` returns them, all
+    of rank `r`.  Each product runs on the whole stack; numpy's `matmul`
+    calls BLAS on each matrix in turn, so each factor has the bits of a
+    build from its SVD alone."""
+    U = P[:, :, :r] @ Q[:, :, :r].conj().swapaxes(-1, -2)
+    kept = np.zeros(Q.shape[:2], dtype=np.float64)
+    kept[:, :r] = sigma[:, :r]
+    H = matrixcore._hermitian_part((Q * kept[:, None, :]) @ Q.conj().swapaxes(-1, -2))
+    return U, H
 
 
 def verify_polar(A, factors: PolarFactors) -> PolarResiduals:

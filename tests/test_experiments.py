@@ -610,8 +610,9 @@ class TestRunPerturbSweep:
             run_perturb_sweep(**kwargs)
 
     def test_row_reuses_the_scenario_factorizations(self, monkeypatch):
-        # make_scenario takes one SVD of each perturber, A and B, and inverts
-        # each perturber once; the classical bound reuses those inverses.
+        # make_scenario takes one SVD of each perturber and one stacked SVD
+        # of A and B, and inverts each perturber once; the classical bound
+        # reuses those inverses.
         calls = {"svd": 0, "inv": 0}
         for name in calls:
             def counted(*args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
@@ -619,7 +620,7 @@ class TestRunPerturbSweep:
                 return _orig(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         run_perturb_sweep(sizes=[3], epsilons=[0.01], trials=1)
-        assert calls == {"svd": 4, "inv": 2}
+        assert calls == {"svd": 3, "inv": 2}
 
     def test_row_check_rejects_violation(self):
         good = run_perturb_sweep(sizes=[2], epsilons=[0.01], trials=1)[0]

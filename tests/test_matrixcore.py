@@ -95,6 +95,30 @@ class TestFrobeniusNorm:
         with pytest.raises(DomainError):
             matrixcore.frobenius_norm(np.ones(3))
 
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_every_layout_takes_the_row_major_entries(self, complex_entries):
+        # C and F order, transposed, strided and reversed views, 1 x N and
+        # N x 1, an ndarray subclass and integers: each norm is the BLAS nrm2
+        # of the entries in row-major order, contiguous.
+        rng = np.random.default_rng(103)
+        M = rng.standard_normal((6, 9)) * 10.0 ** rng.uniform(-300, 300, (6, 9))
+        if complex_entries:
+            M = M + 1j * rng.standard_normal((6, 9))
+        M[0, :3] = -0.0
+        views = [M, np.asfortranarray(M), M.T, M[:, ::2], M[::-1, 1::3], M[2:3], M[:, 4:5],
+                 M[1:2, ::3], M.view(type("Subclass", (np.ndarray,), {}))]
+        blas = matrixcore._blas()
+        nrm2 = blas.dznrm2 if complex_entries else blas.dnrm2
+        for V in views:
+            want = float(nrm2(np.ascontiguousarray(np.asarray(V)).ravel()))
+            assert matrixcore.frobenius_norm(V).hex() == want.hex()
+        assert matrixcore.frobenius_norm(np.arange(6).reshape(2, 3)) == math.sqrt(55.0)
+
+    def test_norm_beyond_the_largest_double_is_inf(self):
+        assert matrixcore.frobenius_norm(np.full((2, 2), 1e308)) == math.inf
+        with pytest.raises(DomainError):
+            matrixcore.frobenius_norm(np.zeros((0, 2)))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize(
         "dtype", [None, np.float64, np.complex128], ids=["list", "float64", "complex128"]

@@ -778,7 +778,148 @@ def test_optimal_probe_ignores_a_power_of_two_on_the_forms(seed, m, n, complex_e
         for k in (-400, -150, 150, 400):
             scaled = dataclasses.replace(sc)
             vars(scaled)["_forms"] = tuple(
-                tuple(np.ldexp(G.view(np.float64), k).view(np.complex128) for G in rows)
-                for rows in sc._forms
+                np.ldexp(G.view(np.float64), k).view(np.complex128) for G in sc._forms
             )
             assert perturb_mod._optimal_probe(scaled, family) == probe
+
+
+def reference_polar(f):
+    """The polar factors of the matrix whose SVD is `f`, as built one
+    matrix at a time before the stacked build."""
+    r = f.rank
+    U = f.P[:, :r] @ f.Q[:, :r].conj().T
+    kept = np.zeros(f.Q.shape[0], dtype=np.float64)
+    kept[:r] = f.sigma[:r]
+    return U, matrixcore._hermitian_part((f.Q * kept) @ f.Q.conj().T)
+
+
+def test_stacked_factors_of_a_and_b_are_byte_equal_to_single_builds(monkeypatch):
+    # Sizes 1-6, real and complex A of every rank, A scaled from 1e-300 to
+    # 8e307, and real or complex perturbers: the SVD of each of A and B in
+    # the stacked call, and their polar factors, are the bytes of a call of
+    # matrixcore.svd on each alone and of the one-matrix polar formula.  A
+    # real A with complex perturbers gives a complex B: two calls.
+    calls = []
+
+    def recorded(M, names, _svds=matrixcore._svds):
+        calls.append((M, _svds(M, names)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(matrixcore, "_svds", recorded)
+    scales = (1.0, 1e-300, 1e-150, 1e150, 1e300, 4e307, 8e307)
+    checked = mixed = 0
+    for seed in range(200):
+        rng = np.random.default_rng((527, seed))
+        m, n = (int(k) for k in rng.integers(1, 7, size=2))
+        rank = seed % (min(m, n) + 1)
+        A = rank_r_matrix(rng, m, n, rank, complex_entries=bool(seed % 2))
+        if A.any():
+            A = A / np.abs(A).max() * scales[seed % len(scales)]
+        eps = (1e-3, 1e-2, 0.1, 0.5)[seed // 2 % 4]
+        D1, D2 = (
+            _perturbers(rng, eps, m, n)
+            if seed % 3 == 0
+            else (np.eye(k) + eps * complex_gaussian(rng, (k, k)) for k in (m, n))
+        )
+        calls.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                sc = make_scenario(A, D1, D2)
+            except (DomainError, NumericalError):
+                continue
+        checked += 1
+        mixed += sc.A.dtype != sc.B.dtype
+        assert len(calls) == 1 + (sc.A.dtype != sc.B.dtype), seed
+        stacked = [
+            (M[i], P[i], sigma[i], Q[i], ranks[i])
+            for M, (P, sigma, Q, ranks) in calls
+            for i in range(len(M))
+        ]
+        for (M, P, sigma, Q, rank), want, polar in zip(
+            stacked, (sc.A, sc.B), (sc.polar_a, sc.polar_b), strict=True
+        ):
+            assert M.tobytes() == want.tobytes() and M.dtype == want.dtype, seed
+            f = matrixcore.svd(want)
+            for got, single in ((P, f.P), (sigma, f.sigma), (Q, f.Q)):
+                assert got.dtype == single.dtype and got.tobytes() == single.tobytes(), seed
+            assert rank == f.rank == polar.rank, seed
+            U, H = reference_polar(f)
+            assert polar.U.dtype == U.dtype and polar.U.tobytes() == U.tobytes(), seed
+            assert polar.H.dtype == H.dtype and polar.H.tobytes() == H.tobytes(), seed
+        assert sc.norm_a == float(matrixcore.svd(sc.A).sigma[0]), seed
+    assert checked >= 150 and mixed >= 30
+
+
+def reference_terms(sc, family, s, t):
+    """`_terms` as evaluated before the stacked forms: one evaluation and
+    one `frobenius_norm` per term."""
+    s, t = complex(s), complex(t)
+    forms = sc._forms[family]
+    x = np.array([s.real - 1.0, s.imag, t.real - 1.0, t.imag])[: forms.shape[1] - 1]
+    t1, t2, t3 = (G[:1] + x @ G[1:] if x.any() else G[:1] for G in forms)
+    fro = matrixcore.frobenius_norm
+    return fro(t1), fro(t2), fro(t3) / math.sqrt(sc.lam + 1.0)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return "DomainError"
+
+
+def test_stacked_terms_are_the_per_term_norms():
+    # At (1, 1), at a searched probe and at far probes, the three norms of a
+    # stacked evaluation are those of a per-term evaluation to the bit.
+    # Hand-made forms add a norm that overflows to inf, which is returned,
+    # and a NaN or inf entry, which raises DomainError.
+    rng = np.random.default_rng(528)
+    scenarios = [
+        random_scenario(rng, 3, 3),
+        random_scenario(rng, 2, 6, rank=1, eps=0.001),
+        random_scenario(rng, 5, 3, rank=2, complex_entries=False),
+        random_scenario(rng, 1, 4, eps=0.5),
+    ]
+    probes = [(1, 1), (0.3 - 2j, 1.5 + 0.25j), (1e150, -1e150j), (1, 1 + 1e-12j)]
+    for sc in scenarios:
+        for family in (0, 1):
+            points = probes + [perturb_mod._optimal_probe(sc, family)]
+            for s, t in points:
+                got = perturb_mod._terms(sc, family, s, t)
+                want = reference_terms(sc, family, s, t)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+                assert all(type(v) is float for v in got)
+    sc = random_scenario(rng, 2, 2)
+    big = np.full((3, 5, 4), 1e308, dtype=np.complex128)
+    cases = {"overflow": big}
+    for bad in (np.inf, np.nan, complex(0.0, np.inf)):
+        G = big / 1e300
+        G[1, 0, 3] = bad
+        cases[repr(bad)] = G
+    for name, G in cases.items():
+        vars(sc)["_forms"] = (G, G[:, :3])
+        for family in (0, 1):
+            for s, t in ((1, 1), (1.5, 1)):
+                got = outcome(perturb_mod._terms, sc, family, s, t)
+                want = outcome(reference_terms, sc, family, s, t)
+                if name == "overflow":
+                    assert got[0] == got[1] == math.inf
+                else:
+                    assert got == "DomainError"
+                assert repr(got) == repr(want), name
+
+
+def test_forms_build_raises_no_floating_point_warning():
+    # Steps that overflow become inf or NaN in the forms without a
+    # RuntimeWarning; the finite check and the norms decide what they mean.
+    # The errstate is numpy's default.
+    import warnings
+
+    with np.errstate(over="warn", invalid="warn", divide="warn", under="ignore"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sc = make_scenario(1e308 * np.eye(2), np.eye(2), np.eye(2))
+        assert not sc._forms_finite
+        for strategy in (SearchStrategy.AT_ONE_ONE, SearchStrategy.OPTIMAL):
+            assert psd_factor_bound(sc, strategy).psd_bound == 0.0
+            assert subunitary_bound(sc, strategy).subunitary_bound == 0.0

@@ -291,3 +291,25 @@ def test_integer_input_gives_the_float64_factors(M):
     npt.assert_array_equal(as_int.U, as_float.U)
     npt.assert_array_equal(as_int.H, as_float.H)
     assert as_int.rank == as_float.rank
+
+
+@pytest.mark.parametrize("m, n, rank, complex_entries", [(600, 600, 450, False), (7, 600, 5, True)])
+def test_factors_are_the_one_matrix_build(m, n, rank, complex_entries):
+    # generalized_polar is the one-matrix case of the stacked polar build:
+    # at n = 600 its factors are the bytes of the SVD and the formulas
+    # applied to the matrix alone.
+    rng = np.random.default_rng(529)
+    A = rank_r_matrix(rng, m, n, rank, complex_entries)
+    P, sigma, Qh = np.linalg.svd(A, full_matrices=True)
+    Q = Qh.conj().T
+    r = int(np.count_nonzero(sigma > matrixcore.rank_cutoff(A.shape, float(sigma[0]))))
+    U = P[:, :r] @ Q[:, :r].conj().T
+    kept = np.zeros(n)
+    kept[:r] = sigma[:r]
+    H = matrixcore._hermitian_part((Q * kept) @ Q.conj().T)
+    f = generalized_polar(A)
+    assert f.rank == r == rank
+    assert f.U.dtype == U.dtype and f.U.tobytes() == U.tobytes()
+    assert f.H.dtype == H.dtype and f.H.tobytes() == H.tobytes()
+    for got, want in ((f._svd.P, P), (f._svd.sigma, sigma), (f._svd.Q, Q)):
+        assert got.tobytes() == want.tobytes()
