@@ -22,7 +22,12 @@ by running this on the tree before and after it.  The areas:
   norms overflow;
 - ``norms``: ``matrixcore._frobenius_norms`` of stacks of matrices of every
   size from 1 to 20 doubles, real and complex, with entries from 1e-320 to
-  beyond the largest double, signed zeros, NaN and inf.
+  beyond the largest double, signed zeros, NaN and inf; and single
+  ``matrixcore.frobenius_norm`` calls on real and complex matrices from
+  1 x 1 to 12 x 6, 1 x N and N x 1 among them, in C and F order, transposed
+  and as strided and reversed views, with entries from 1e-320 up to a norm
+  beyond the largest double, signed zeros, and a NaN or inf entry, which
+  raises.
 
 Each digest hashes the ``repr`` of every value, so floats count to the
 last bit; an exception counts by its type and message.  Two more lines
@@ -31,9 +36,14 @@ those whose finite actual change exceeds their finite bound times
 ``1 + 1e-9``, that is, whose bound fails, in all and per family; bounds
 valid on every scenario give 0.  ``nan`` counts those whose bound is NaN.
 ``_perturb_scenario(i)`` returns the outcomes of perturbation scenario `i`
-alone, so two trees whose ``perturb`` digests differ can be compared
-scenario by scenario.  The script takes about 30 s on a 2-CPU x86-64
-machine and writes no file.
+alone.  With ``--perturb-lines`` the script prints instead one line per
+``perturb`` scenario, its index and a short digest of its outcomes, so
+that a ``diff`` of two trees' output lists every scenario that moved:
+
+    python3 tools/bitcheck.py --src src --perturb-lines > after.txt
+
+The script takes about 35 s on a 2-CPU x86-64 machine, about 5 s with
+``--perturb-lines``, and writes no file.
 """
 
 import argparse
@@ -189,6 +199,25 @@ def _norms():
             if complex_entries:
                 rows = rows.view(np.complex128)
             yield matrixcore._frobenius_norms(rows[:, None, :]).tobytes()
+    # A single norm is one BLAS call over the entries in row-major order,
+    # whatever the layout of the matrix.
+    for complex_entries in (False, True):
+        for shape in ((1, 1), (1, 9), (9, 1), (1, 40), (40, 1), (4, 5), (7, 8), (12, 6)):
+            rng = np.random.default_rng((1619, complex_entries, *shape))
+            for case in ("wide", "signed zeros", "overflow", "nan", "inf"):
+                M = rng.standard_normal(shape) * 10.0 ** rng.uniform(-320, 307, shape)
+                if complex_entries:
+                    M = M + 1j * rng.standard_normal(shape) * 10.0 ** rng.uniform(-320, 307, shape)
+                if case == "signed zeros":
+                    M[rng.random(shape) < 0.5] = -0.0
+                    M[rng.random(shape) < 0.2] = 0.0
+                elif case == "overflow":
+                    M[:, :] = 1.5e308
+                elif case != "wide":
+                    M[tuple(rng.integers(k) for k in shape)] = getattr(np, case)
+                views = (M, np.asfortranarray(M), M.T, M[:, ::2], M[::-1, ::-1], M[::2, 1::2])
+                for view in views:
+                    yield _outcome(matrixcore.frobenius_norm, view)
 
 
 AREAS = {
@@ -203,7 +232,13 @@ AREAS = {
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", required=True, help="the src/ directory of the tree to check")
-    src = Path(p.parse_args(argv).src).resolve()
+    p.add_argument(
+        "--perturb-lines",
+        action="store_true",
+        help="print one digest per perturb scenario instead of the areas",
+    )
+    args = p.parse_args(argv)
+    src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import polarbounds
 
@@ -211,6 +246,11 @@ def main(argv=None) -> int:
         print(f"polarbounds was imported from {polarbounds.__file__}, not {src}", file=sys.stderr)
         return 2
     warnings.simplefilter("ignore")
+    if args.perturb_lines:
+        with np.errstate(all="ignore"):
+            for i in range(3000):
+                print(f"{i:4d} {_digest(_perturb_scenario(i))[:16]}")
+        return 0
     for name, area in AREAS.items():
         with np.errstate(all="ignore"):
             print(f"{name:<11} {_digest(area())}", flush=True)
