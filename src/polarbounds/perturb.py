@@ -301,9 +301,12 @@ def _terms(sc: PerturbationScenario, family: int, s, t) -> tuple[float, float, f
     # would add 0 * inf = NaN.
     rows = G[:, 0] + x @ G[:, 1:] if x.any() else G[:, 0]
     norms = matrixcore._row_norms(rows)
-    for norm, row in zip(norms, rows):
+    for k, (norm, row) in enumerate(zip(norms, rows), 1):
         if not math.isfinite(norm) and not np.isfinite(row).all():
-            raise DomainError("matrix contains non-finite entries")
+            raise DomainError(
+                f"{('subunitary', 'PSD')[family]} term {k} at probe s = {s}, "
+                f"t = {t} has non-finite entries"
+            )
     t1, t2, t3 = norms
     return t1, t2, t3 / math.sqrt(sc.lam + 1.0)
 

@@ -864,7 +864,7 @@ def reference_terms(sc, family, s, t):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except DomainError as exc:
+    except DomainError:
         return "DomainError"
 
 
@@ -923,3 +923,26 @@ def test_forms_build_raises_no_floating_point_warning():
         for strategy in (SearchStrategy.AT_ONE_ONE, SearchStrategy.OPTIMAL):
             assert psd_factor_bound(sc, strategy).psd_bound == 0.0
             assert subunitary_bound(sc, strategy).subunitary_bound == 0.0
+
+
+def test_non_finite_term_error_names_family_term_and_probe():
+    # inv(D1) A overflows in the first PSD term; a report evaluates both
+    # families, so both bounds raise, and the error says where.
+    sc = make_scenario([[8e307]], [[0.25]], [[1.0]])
+    for bound in (psd_factor_bound, subunitary_bound):
+        with pytest.raises(
+            DomainError,
+            match=r"^PSD term 1 at probe s = \(1\+0j\), t = \(1\+0j\) has non-finite entries$",
+        ):
+            bound(sc)
+    # A step row that overflowed counts only away from (1, 1).
+    sc = random_scenario(np.random.default_rng(530), 2, 3)
+    G = sc._forms[0].copy()
+    G[2, 1, 0] = np.inf
+    vars(sc)["_forms"] = (G, sc._forms[1])
+    assert math.isfinite(perturb_mod._terms(sc, 0, 1, 1)[2])
+    with np.errstate(invalid="ignore"), pytest.raises(
+        DomainError,
+        match=r"^subunitary term 3 at probe s = \(1\.5-2j\), t = 1j has non-finite entries$",
+    ):
+        perturb_mod._terms(sc, 0, 1.5 - 2j, 1j)
