@@ -142,8 +142,7 @@ def frobenius_norm(M) -> float:
     entry raises `DomainError`; a norm beyond the largest double gives inf.
     A nonempty 2-D float64 or complex128 ndarray goes straight to BLAS, with
     no validation unless the norm is not finite: about 0.8 us for a 4 x 5
-    complex matrix, half the time of the validating path (2-CPU x86-64 Xeon,
-    numpy 2.4.6).
+    complex matrix (2-CPU x86-64 Xeon, numpy 2.4.6).
     """
     if type(M) is not np.ndarray or M.ndim != 2 or not M.size or M.dtype not in _NORM_DTYPES:
         M = as_matrix(M)
@@ -210,9 +209,10 @@ def _frobenius_norms(M: np.ndarray) -> np.ndarray:
     most ``_MODEL_MAX_PARTS`` doubles take :func:`_x87_norms`, the kernel's
     rule in long double; larger ones, and every stack where long double is
     not the x87 format, take one BLAS call per matrix.  A stack of one
-    matrix costs about 8 us here against 0.8 us for :func:`frobenius_norm`,
-    and the perturbation terms, three matrices at a time, take
-    :func:`_row_norms` (2-CPU x86-64 Xeon, numpy 2.4.6).
+    matrix costs about 8 us against 0.8 us for :func:`frobenius_norm`, so
+    single norms skip it, and so do the perturbation terms, three matrices
+    at a time, which take :func:`_row_norms` (2-CPU x86-64 Xeon, numpy
+    2.4.6).
     """
     if M.ndim != 3 or M.dtype not in (np.float64, np.complex128):
         raise DomainError(

@@ -217,7 +217,9 @@ def make_scenario(A, D1, D2) -> PerturbationScenario:
     B = (D1.conj().T @ A) @ D2
     names = ("A", "B = D1* A D2")
     if not np.isfinite(B).all():
-        matrixcore.svd(A, names[0])  # an error of A's comes first
+        # LAPACK may not return on a non-finite matrix, so B never enters
+        # the stacked call; A is factored first, as its errors come first.
+        matrixcore.svd(A, names[0])
         raise DomainError(f"{names[1]} contains non-finite entries")
     # One SVD call and one polar build per dtype: A real and B complex go
     # apart, as promoting A to complex would factor it to other bits.
