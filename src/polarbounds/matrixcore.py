@@ -305,7 +305,7 @@ def _svds(M: np.ndarray, names) -> tuple[np.ndarray, np.ndarray, np.ndarray, lis
     call ``M[i]``.
 
     Returns the stacks `P`, `sigma` and `Q` and the ranks.  numpy runs the
-    LAPACK driver on each matrix of the stack in turn, so each matrix gets
+    LAPACK routine on each matrix of the stack in turn, so each matrix gets
     the bits of a call on it alone.  A stack has one dtype: a real matrix
     promoted to complex would factor to other bits.
     """
